@@ -33,6 +33,13 @@ const std::vector<mrl::Value>& InputStream() {
   return *values;
 }
 
+// The unknown-N sketch's sampling rate grows with the stream, so a sketch
+// kept across all iterations would report a rate that depends on how many
+// iterations the framework chose. Both unknown-N benches therefore reset
+// the sketch (untimed) every kFixedN values: each rate is the cost of
+// ingesting the first kFixedN values of the input into a fresh sketch.
+constexpr std::size_t kFixedN = std::size_t{1} << 20;
+
 void BM_UnknownNAdd(benchmark::State& state) {
   const auto& input = InputStream();
   mrl::UnknownNOptions options;
@@ -41,6 +48,12 @@ void BM_UnknownNAdd(benchmark::State& state) {
   auto sketch = std::move(mrl::UnknownNSketch::Create(options)).value();
   std::size_t i = 0;
   for (auto _ : state) {
+    if (i == kFixedN) {
+      state.PauseTiming();
+      sketch.Reset();
+      i = 0;
+      state.ResumeTiming();
+    }
     sketch.Add(input[i++ & (input.size() - 1)]);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -63,7 +76,10 @@ void BM_UnknownNAddBatch(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    if (i + chunk > input.size()) i = 0;
+    if (i + chunk > kFixedN) {
+      sketch.Reset();
+      i = 0;
+    }
     state.ResumeTiming();
     sketch.AddBatch(std::span<const mrl::Value>(input.data() + i, chunk));
     i += chunk;

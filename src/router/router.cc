@@ -14,8 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "core/partial.h"
-
 namespace mrl {
 namespace router {
 
@@ -31,12 +29,6 @@ constexpr int kListenBacklog = 128;
 /// simply closed on release — a burst dials extra sockets, steady state
 /// reuses the pool.
 constexpr std::size_t kMaxPooledConnections = 8;
-
-/// Seed spacing for partitioned CREATE broadcast: each backend gets
-/// config.seed + index * kSeedStride, so partitions sample independently
-/// (identical seeds would correlate their Bernoulli draws) while remaining
-/// reproducible from the tenant's one configured seed.
-constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
 
 Status StatusFromErrno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
@@ -97,6 +89,22 @@ Status ParseBackendAddress(const std::string& address, bool* is_unix,
   *is_unix = false;
   *path_or_host = address.substr(0, colon);
   *port = static_cast<std::uint16_t>(parsed);
+  return Status::OK();
+}
+
+/// The config a CREATE_SKETCH or RESTORE frame carries.
+Status DecodeConfig(const FrameView& frame, TenantConfig* config) {
+  if (frame.type == MsgType::kCreateSketch) {
+    Result<server::CreateSketchRequest> req =
+        server::DecodeCreateSketch(frame.payload, frame.payload_len);
+    if (!req.ok()) return req.status();
+    *config = req.value().config;
+    return Status::OK();
+  }
+  Result<server::RestoreRequest> req =
+      server::DecodeRestore(frame.payload, frame.payload_len);
+  if (!req.ok()) return req.status();
+  *config = req.value().config;
   return Status::OK();
 }
 
@@ -259,8 +267,9 @@ void Router::AcceptLoop(int listen_fd) {
 }
 
 void Router::ServeConnection(int fd) {
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> request;  // one client frame, prefix included
   std::vector<std::uint8_t> out;
+  ConnScratch scratch;
   while (running_.load(std::memory_order_acquire)) {
     std::uint8_t prefix[4];
     if (!ReadFull(fd, prefix, sizeof(prefix))) break;
@@ -273,16 +282,19 @@ void Router::ServeConnection(int fd) {
         body_len > server::kMaxPayload + server::kFrameHeaderSize - 4) {
       break;  // unframeable garbage; no reliable way to resynchronize
     }
-    body.resize(body_len);
-    if (!ReadFull(fd, body.data(), body_len)) break;
+    request.resize(sizeof(prefix) + body_len);
+    std::memcpy(request.data(), prefix, sizeof(prefix));
+    if (!ReadFull(fd, request.data() + sizeof(prefix), body_len)) break;
     out.clear();
-    Result<FrameView> frame = server::DecodeFrameBody(body.data(), body_len);
+    // The router's one check of every client frame: version, type and CRC.
+    Result<FrameView> frame =
+        server::DecodeFrameBody(request.data() + sizeof(prefix), body_len);
     if (!frame.ok()) {
       // Attributable to no particular request type: echo kResponse, as the
       // backends do for undecodable frames.
       server::EncodeErrorResponse(MsgType::kResponse, frame.status(), &out);
     } else {
-      HandleFrame(frame.value(), &out);
+      HandleFrame(frame.value(), request, &scratch, &out);
     }
     if (!WriteFull(fd, out.data(), out.size())) break;
   }
@@ -343,19 +355,21 @@ Status Router::WithBackend(int index, Fn&& rpc, bool* transport_failed) {
   return status;
 }
 
-int Router::ServingIndexOf(std::string_view name) const {
-  const int owner = ring_.OwnerOf(name);
-  if (!options_.replicate) return owner;
-  MutexLock lock(tenants_mu_);
-  auto it = tenants_.find(std::string(name));
-  if (it == tenants_.end() || !it->second.failed_over) return owner;
-  const int replica = ring_.ReplicaOf(name);
-  return replica >= 0 ? replica : owner;
+Status Router::SendFrame(int index, std::span<const std::uint8_t> raw,
+                         MsgType type, std::vector<std::uint8_t>* reply,
+                         bool* transport_failed) {
+  return WithBackend(
+      index,
+      [&](Client& client) {
+        Result<server::ResponseView> r = client.ForwardFrame(raw, type, reply);
+        return r.ok() ? r.value().ToStatus() : r.status();
+      },
+      transport_failed);
 }
 
 bool Router::failed_over(std::string_view name) const {
   MutexLock lock(tenants_mu_);
-  auto it = tenants_.find(std::string(name));
+  auto it = tenants_.find(name);
   return it != tenants_.end() && it->second.failed_over;
 }
 
@@ -366,262 +380,316 @@ bool Router::IsPartitioned(std::string_view name) const {
   return false;
 }
 
-template <typename Fn>
-Status Router::ForwardWithFailover(std::string_view name, Fn&& rpc) {
-  const int owner = ring_.OwnerOf(name);
-  int replica = -1;
-  bool known = false;
-  bool use_replica = false;
-  if (options_.replicate) {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    if (it != tenants_.end() && !it->second.partitioned) {
-      known = true;
-      use_replica = it->second.failed_over;
-      replica = ring_.ReplicaOf(name);
-    }
-  }
-  const int serving = (use_replica && replica >= 0) ? replica : owner;
-  bool transport_failed = false;
-  const Status status = WithBackend(serving, rpc, &transport_failed);
-  if (!transport_failed || use_replica || !known || replica < 0) {
-    return status;
-  }
-  // The primary is unreachable and a warm replica exists: fail over
-  // (sticky) and retry there once.
-  {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    if (it != tenants_.end()) it->second.failed_over = true;
-  }
-  return WithBackend(replica, rpc);
-}
-
 // ---------------------------------------------------------------------------
 // Dispatch
 
 void Router::HandleFrame(const FrameView& frame,
+                         std::span<const std::uint8_t> raw,
+                         ConnScratch* scratch,
                          std::vector<std::uint8_t>* out) {
-  switch (frame.type) {
-    case MsgType::kPing: {
-      // Answered by the router itself: PING probes the node it reaches.
-      const Status status = server::DecodePing(frame.payload,
-                                               frame.payload_len);
-      if (!status.ok()) {
-        return server::EncodeErrorResponse(frame.type, status, out);
-      }
-      return server::EncodeEmptyOk(frame.type, out);
+  if (frame.type == MsgType::kPing) {
+    // Answered by the router itself: PING probes the node it reaches.
+    const Status status =
+        server::DecodePing(frame.payload, frame.payload_len);
+    if (!status.ok()) {
+      return server::EncodeErrorResponse(frame.type, status, out);
     }
-    case MsgType::kCreateSketch:
-      return HandleCreate(frame, out);
-    case MsgType::kAddBatch:
-      return HandleAddBatch(frame, out);
-    case MsgType::kQuery:
-      return HandleQuery(frame, out);
-    case MsgType::kQueryMulti:
-      return HandleQueryMulti(frame, out);
-    case MsgType::kSnapshot:
-    case MsgType::kDelete:
-    case MsgType::kFetchSummary:
-      return HandleNameOp(frame, out);
-    case MsgType::kStats:
-      return HandleStats(frame, out);
-    case MsgType::kRestore:
-      return HandleRestore(frame, out);
-    case MsgType::kResponse:
-      break;
+    return server::EncodeEmptyOk(frame.type, out);
   }
-  server::EncodeErrorResponse(
-      frame.type, Status::InvalidArgument("unexpected response frame"), out);
+  if (frame.type == MsgType::kResponse) {
+    return server::EncodeErrorResponse(
+        frame.type, Status::InvalidArgument("response frame sent to server"),
+        out);
+  }
+  // Every request payload starts with its tenant name. The peek does not
+  // validate it; whoever decodes the request does.
+  const std::string_view name =
+      server::FrameTenantName(frame.payload, frame.payload_len);
+  if (IsPartitioned(name)) return HandlePartitioned(frame, scratch, out);
+  if (frame.type == MsgType::kStats && name.empty()) {
+    return HandleAggregateStats(frame, out);
+  }
+  Forward(frame, raw, name, out);
 }
 
-void Router::HandleCreate(const FrameView& frame,
-                          std::vector<std::uint8_t>* out) {
-  Result<server::CreateSketchRequest> req =
-      server::DecodeCreateSketch(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  const TenantConfig& config = req.value().config;
-
-  if (IsPartitioned(name)) {
-    // Broadcast with derived per-backend seeds: every backend holds one
-    // range partition of the tenant.
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      TenantConfig part_config = config;
-      part_config.seed = config.seed + static_cast<std::uint64_t>(i) *
-                                           kSeedStride;
-      const Status status =
-          WithBackend(static_cast<int>(i), [&](Client& client) {
-            return client.CreateSketch(name, part_config);
-          });
-      if (!status.ok()) {
-        return server::EncodeErrorResponse(frame.type, status, out);
-      }
-    }
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = true;
-    return server::EncodeEmptyOk(frame.type, out);
+void Router::Forward(const FrameView& frame, std::span<const std::uint8_t> raw,
+                     std::string_view name, std::vector<std::uint8_t>* out) {
+  const MsgType type = frame.type;
+  const bool creates =
+      type == MsgType::kCreateSketch || type == MsgType::kRestore;
+  // CREATE and RESTORE carry the config kept for replica resync.
+  TenantConfig config;
+  if (creates) {
+    const Status status = DecodeConfig(frame, &config);
+    if (!status.ok()) return server::EncodeErrorResponse(type, status, out);
   }
 
   const int owner = ring_.OwnerOf(name);
-  const Status status = WithBackend(owner, [&](Client& client) {
-    return client.CreateSketch(name, config);
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
+  const int replica = options_.replicate ? ring_.ReplicaOf(name) : -1;
+  // Only a tenant created through this router has a warm replica to fail
+  // over to; a CREATE always lands on the owner.
+  bool known = false;
+  bool on_replica = false;
+  if (replica >= 0 && type != MsgType::kCreateSketch) {
+    MutexLock lock(tenants_mu_);
+    auto it = tenants_.find(name);
+    known = it != tenants_.end();
+    on_replica = known && it->second.failed_over;
   }
-  bool replica_dirty = false;
-  if (options_.replicate) {
-    // Same config — and critically the same seed — on the replica, so both
-    // copies make identical sampling decisions and stay byte-identical
-    // under the mirrored write stream.
-    const int replica = ring_.ReplicaOf(name);
+  bool transport_failed = false;
+  Status status = SendFrame(on_replica ? replica : owner, raw, type, out,
+                            &transport_failed);
+  if (transport_failed && known && !on_replica) {
+    // The primary is unreachable: fail over (sticky) and retry once on the
+    // replica. It holds an identical sketch, so no data the client was
+    // acknowledged for is lost.
+    {
+      MutexLock lock(tenants_mu_);
+      auto it = tenants_.find(name);
+      if (it != tenants_.end()) it->second.failed_over = true;
+    }
+    on_replica = true;
+    status = SendFrame(replica, raw, type, out);
+  }
+
+  if (type == MsgType::kDelete) {
+    // Best effort on the other copy; NotFound / dead replica are fine.
     if (replica >= 0) {
-      const Status mirrored = WithBackend(replica, [&](Client& client) {
-        return client.CreateSketch(name, config);
-      });
-      // Any failure (dead replica, name collision from a stale copy) is
-      // repaired by the health thread's SNAPSHOT→RESTORE resync.
-      replica_dirty = !mirrored.ok();
+      (void)SendFrame(on_replica ? owner : replica, raw, type, nullptr);
+    }
+    MutexLock lock(tenants_mu_);
+    auto it = tenants_.find(name);
+    if (it != tenants_.end()) tenants_.erase(it);
+  } else if (status.ok()) {
+    // Mirror writes to the replica. A miss only marks it dirty (the health
+    // thread resyncs it, SNAPSHOT -> RESTORE); it never fails the client's
+    // request. CREATE mirrors the same config, and critically the same
+    // seed, so both copies make identical sampling decisions.
+    const bool mirror =
+        replica >= 0 && !on_replica &&
+        (creates || (type == MsgType::kAddBatch && known));
+    const bool replica_dirty =
+        mirror && !SendFrame(replica, raw, type, nullptr).ok();
+    if (creates || replica_dirty) {
+      MutexLock lock(tenants_mu_);
+      auto it = creates ? tenants_.try_emplace(std::string(name)).first
+                        : tenants_.find(name);
+      if (it != tenants_.end()) {
+        TenantState& state = it->second;
+        if (creates) {
+          state.config = config;
+          state.partitioned = false;
+        }
+        if (type == MsgType::kCreateSketch) {
+          state.failed_over = false;
+          state.replica_dirty = false;
+        }
+        if (replica_dirty) {
+          state.replica_dirty = true;
+          ++state.dirty_gen;
+        }
+      }
     }
   }
-  {
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = false;
-    state.failed_over = false;
-    state.replica_dirty = replica_dirty;
-    if (replica_dirty) ++state.dirty_gen;
-  }
-  server::EncodeEmptyOk(frame.type, out);
+  // No reply came from any backend: answer the transport error.
+  if (out->empty()) server::EncodeErrorResponse(type, status, out);
 }
 
-void Router::HandleAddBatch(const FrameView& frame,
-                            std::vector<std::uint8_t>* out) {
+void Router::HandlePartitioned(const FrameView& frame, ConnScratch* scratch,
+                               std::vector<std::uint8_t>* out) {
+  const MsgType type = frame.type;
+  switch (type) {
+    case MsgType::kAddBatch:
+      return SplitAddBatch(frame, scratch, out);
+    case MsgType::kStats:
+      return HandleAggregateStats(frame, out);
+    case MsgType::kCreateSketch: {
+      Result<server::CreateSketchRequest> req =
+          server::DecodeCreateSketch(frame.payload, frame.payload_len);
+      if (!req.ok()) {
+        return server::EncodeErrorResponse(type, req.status(), out);
+      }
+      const std::string_view name = req.value().name;
+      // Broadcast with derived per-backend seeds: every backend holds one
+      // range partition of the tenant.
+      for (std::size_t i = 0; i < backends_.size(); ++i) {
+        TenantConfig part_config = req.value().config;
+        part_config.seed += static_cast<std::uint64_t>(i) *
+                            kPartitionSeedStride;
+        const Status status =
+            WithBackend(static_cast<int>(i), [&](Client& client) {
+              return client.CreateSketch(name, part_config);
+            });
+        if (!status.ok()) {
+          return server::EncodeErrorResponse(type, status, out);
+        }
+      }
+      MutexLock lock(tenants_mu_);
+      TenantState& state = tenants_[std::string(name)];
+      state.config = req.value().config;
+      state.partitioned = true;
+      return server::EncodeEmptyOk(type, out);
+    }
+    case MsgType::kQuery: {
+      Result<server::QueryRequest> req =
+          server::DecodeQuery(frame.payload, frame.payload_len);
+      if (!req.ok()) {
+        return server::EncodeErrorResponse(type, req.status(), out);
+      }
+      std::vector<double> answers;
+      const double phis[1] = {req.value().phi};
+      const Status status = FanOutQuery(req.value().name, phis, &answers);
+      if (!status.ok()) return server::EncodeErrorResponse(type, status, out);
+      return server::EncodeQueryOk(answers[0], out);
+    }
+    case MsgType::kQueryMulti: {
+      Result<server::QueryMultiRequest> req =
+          server::DecodeQueryMulti(frame.payload, frame.payload_len);
+      std::vector<double> phis;
+      std::vector<double> answers;
+      Status status = req.status();
+      if (status.ok()) {
+        status = server::DecodeDoublesInto(
+            req.value().phis_le, req.value().count, /*reject_nan=*/true, &phis);
+      }
+      if (status.ok()) status = FanOutQuery(req.value().name, phis, &answers);
+      if (!status.ok()) return server::EncodeErrorResponse(type, status, out);
+      return server::EncodeQueryMultiOk(answers, out);
+    }
+    case MsgType::kRestore: {
+      Result<server::RestoreRequest> req =
+          server::DecodeRestore(frame.payload, frame.payload_len);
+      return server::EncodeErrorResponse(
+          type,
+          req.ok() ? Status::FailedPrecondition(
+                         "partitioned tenants cannot be restored through "
+                         "the router")
+                   : req.status(),
+          out);
+    }
+    default:
+      break;
+  }
+
+  // SNAPSHOT, DELETE and FETCH_SUMMARY carry only the name.
+  Result<server::NameRequest> req =
+      server::DecodeNameRequest(type, frame.payload, frame.payload_len);
+  if (!req.ok()) return server::EncodeErrorResponse(type, req.status(), out);
+  const std::string_view name = req.value().name;
+
+  if (type == MsgType::kSnapshot) {
+    return server::EncodeErrorResponse(
+        type,
+        Status::FailedPrecondition(
+            "partitioned tenants have no single checkpoint; use "
+            "FETCH_SUMMARY or snapshot the backends directly"),
+        out);
+  }
+
+  if (type == MsgType::kDelete) {
+    Status first_error = Status::OK();
+    for (std::size_t i = 0; i < backends_.size(); ++i) {
+      if (!health_.IsUsable(static_cast<int>(i))) continue;
+      const Status status =
+          WithBackend(static_cast<int>(i), [&](Client& client) {
+            return client.Delete(name);
+          });
+      if (!status.ok() && status.code() != StatusCode::kNotFound &&
+          first_error.ok()) {
+        first_error = status;
+      }
+    }
+    {
+      MutexLock lock(tenants_mu_);
+      auto it = tenants_.find(name);
+      if (it != tenants_.end()) tenants_.erase(it);
+    }
+    if (!first_error.ok()) {
+      return server::EncodeErrorResponse(type, first_error, out);
+    }
+    return server::EncodeEmptyOk(type, out);
+  }
+
+  // FETCH_SUMMARY: fan out and splice. Partials share one k, so the union
+  // of their buffer sets is itself a valid partial summary; this is what
+  // lets routers stack hierarchically.
+  std::vector<PartialSummary> parts;
+  const Status status = FetchPartials(name, &parts);
+  if (!status.ok()) return server::EncodeErrorResponse(type, status, out);
+  PartialSummary combined = std::move(parts.front());
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    if (parts[i].params.k != combined.params.k) {
+      return server::EncodeErrorResponse(
+          type, Status::Internal("partitions disagree on buffer capacity k"),
+          out);
+    }
+    if (parts[i].params.b > combined.params.b) {
+      combined.params = parts[i].params;
+    }
+    combined.count += parts[i].count;
+    for (ShippedBuffer& buf : parts[i].buffers) {
+      combined.buffers.push_back(std::move(buf));
+    }
+  }
+  std::vector<std::uint8_t> blob;
+  SerializePartialSummary(combined, &blob);
+  server::EncodeFetchSummaryOk(blob, out);
+}
+
+void Router::SplitAddBatch(const FrameView& frame, ConnScratch* scratch,
+                           std::vector<std::uint8_t>* out) {
   Result<server::AddBatchRequest> req =
       server::DecodeAddBatch(frame.payload, frame.payload_len);
   if (!req.ok()) {
     return server::EncodeErrorResponse(frame.type, req.status(), out);
   }
-  const std::string_view name = req.value().name;
-  std::vector<double> values;
-  {
-    const Status status = server::DecodeDoublesInto(
-        req.value().values_le, req.value().count, /*reject_nan=*/true,
-        &values);
+  const server::AddBatchRequest& batch = req.value();
+  // The whole batch is refused before any partition sees a slice of it.
+  if (Status status = server::RejectNanLe(batch.values_le, batch.count);
+      !status.ok()) {
+    return server::EncodeErrorResponse(frame.type, status, out);
+  }
+  std::vector<int>& usable = scratch->usable;
+  usable.clear();
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    if (health_.IsUsable(static_cast<int>(i))) {
+      usable.push_back(static_cast<int>(i));
+    }
+  }
+  if (usable.empty()) {
+    return server::EncodeErrorResponse(
+        frame.type, Status::Internal("no usable backends"), out);
+  }
+  // Contiguous slices, one per usable backend; the reply is the tenant's
+  // total count across all partitions. Trailing slots may get an empty
+  // slice but are still asked, so the total covers every partition.
+  const std::uint64_t per = (batch.count + usable.size() - 1) / usable.size();
+  std::uint64_t total = 0;
+  for (std::size_t slot = 0; slot < usable.size(); ++slot) {
+    const std::uint64_t begin = std::min(slot * per, batch.count);
+    const std::uint64_t end = std::min(batch.count, begin + per);
+    scratch->frame.clear();
+    server::EncodeAddBatchLe(batch.name,
+                             batch.values_le + begin * sizeof(double),
+                             end - begin, &scratch->frame);
+    const Status status = WithBackend(usable[slot], [&](Client& client) {
+      Result<server::ResponseView> r =
+          client.ForwardFrame(scratch->frame, MsgType::kAddBatch, nullptr);
+      if (!r.ok()) return r.status();
+      Result<std::uint64_t> count = server::DecodeAddBatchOk(r.value());
+      if (!count.ok()) return count.status();
+      total += count.value();
+      return Status::OK();
+    });
     if (!status.ok()) {
       return server::EncodeErrorResponse(frame.type, status, out);
     }
   }
-
-  if (IsPartitioned(name)) {
-    // Deal the batch out in contiguous slices, one per usable backend; the
-    // reply is the tenant's total count across all partitions.
-    std::vector<int> usable;
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      if (health_.IsUsable(static_cast<int>(i))) {
-        usable.push_back(static_cast<int>(i));
-      }
-    }
-    if (usable.empty()) {
-      return server::EncodeErrorResponse(
-          frame.type, Status::Internal("no usable backends"), out);
-    }
-    std::uint64_t total = 0;
-    const std::size_t per = (values.size() + usable.size() - 1) /
-                            usable.size();
-    for (std::size_t slot = 0; slot < usable.size(); ++slot) {
-      // Contiguous slices; trailing slots may get an empty one but are
-      // still asked, so `total` covers every partition's count.
-      const std::size_t begin = std::min(slot * per, values.size());
-      const std::size_t end = std::min(values.size(), begin + per);
-      const std::span<const Value> slice(values.data() + begin, end - begin);
-      std::uint64_t count = 0;
-      const Status status = WithBackend(usable[slot], [&](Client& client) {
-        Result<std::uint64_t> r = client.AddBatch(name, slice);
-        if (!r.ok()) return r.status();
-        count = r.value();
-        return Status::OK();
-      });
-      if (!status.ok()) {
-        return server::EncodeErrorResponse(frame.type, status, out);
-      }
-      total += count;
-    }
-    return server::EncodeAddBatchOk(total, out);
-  }
-
-  const int owner = ring_.OwnerOf(name);
-  int replica = -1;
-  bool known = false;
-  bool use_replica = false;
-  if (options_.replicate) {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    if (it != tenants_.end() && !it->second.partitioned) {
-      known = true;
-      use_replica = it->second.failed_over;
-      replica = ring_.ReplicaOf(name);
-    }
-  }
-
-  std::uint64_t count = 0;
-  const auto add_rpc = [&](Client& client) {
-    Result<std::uint64_t> r = client.AddBatch(name, std::span<const Value>(
-                                                        values));
-    if (!r.ok()) return r.status();
-    count = r.value();
-    return Status::OK();
-  };
-
-  const int serving = (use_replica && replica >= 0) ? replica : owner;
-  bool transport_failed = false;
-  Status status = WithBackend(serving, add_rpc, &transport_failed);
-
-  if (transport_failed && !use_replica && known && replica >= 0) {
-    // Primary died mid-write: promote the replica (sticky) and land the
-    // batch there. The replica holds an identical sketch, so no data that
-    // the client was acknowledged for is lost.
-    {
-      MutexLock lock(tenants_mu_);
-      auto it = tenants_.find(std::string(name));
-      if (it != tenants_.end()) it->second.failed_over = true;
-    }
-    status = WithBackend(replica, add_rpc);
-    use_replica = true;
-  }
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-
-  if (known && !use_replica && replica >= 0) {
-    // Mirror to the replica; a miss only marks it dirty (the health thread
-    // resyncs), it never fails the client's write.
-    const Status mirrored = WithBackend(replica, [&](Client& client) {
-      Result<std::uint64_t> r = client.AddBatch(
-          name, std::span<const Value>(values));
-      return r.ok() ? Status::OK() : r.status();
-    });
-    if (!mirrored.ok()) {
-      MutexLock lock(tenants_mu_);
-      auto it = tenants_.find(std::string(name));
-      if (it != tenants_.end()) {
-        it->second.replica_dirty = true;
-        ++it->second.dirty_gen;
-      }
-    }
-  }
-  server::EncodeAddBatchOk(count, out);
+  server::EncodeAddBatchOk(total, out);
 }
 
-Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
-                           std::vector<double>* answers) {
-  std::vector<PartialSummary> parts;
+Status Router::FetchPartials(std::string_view name,
+                             std::vector<PartialSummary>* parts) {
   Status last_error = Status::NotFound("tenant '" + std::string(name) +
                                        "' not found on any backend");
   for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -631,22 +699,25 @@ Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
       return client.FetchSummary(name, &blob);
     });
     if (!status.ok()) {
-      // A missing or unreachable partition degrades the answer instead of
-      // failing the query; only an all-miss propagates.
       last_error = status;
       continue;
     }
     Result<PartialSummary> part = DeserializePartialSummary(
         std::span<const std::uint8_t>(blob.data(), blob.size()));
     if (!part.ok()) return part.status();
-    parts.push_back(std::move(part).value());
+    parts->push_back(std::move(part).value());
   }
-  if (parts.empty()) return last_error;
+  return parts->empty() ? last_error : Status::OK();
+}
 
+Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
+                           std::vector<double>* answers) {
+  std::vector<PartialSummary> parts;
+  MRL_RETURN_IF_ERROR(FetchPartials(name, &parts));
   std::uint64_t seed = 1;
   {
     MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
+    auto it = tenants_.find(name);
     if (it != tenants_.end()) seed = it->second.config.seed;
   }
   Result<std::vector<Value>> merged = MergePartialQuantiles(
@@ -656,311 +727,44 @@ Status Router::FanOutQuery(std::string_view name, std::span<const double> phis,
   return Status::OK();
 }
 
-void Router::HandleQuery(const FrameView& frame,
-                         std::vector<std::uint8_t>* out) {
-  Result<server::QueryRequest> req =
-      server::DecodeQuery(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  const double phi = req.value().phi;
-
-  if (IsPartitioned(name)) {
-    std::vector<double> answers;
-    const double phis[1] = {phi};
-    const Status status = FanOutQuery(name, phis, &answers);
-    if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
-    }
-    return server::EncodeQueryOk(answers[0], out);
-  }
-
-  double value = 0;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    Result<double> r = client.Query(name, phi);
-    if (!r.ok()) return r.status();
-    value = r.value();
-    return Status::OK();
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  server::EncodeQueryOk(value, out);
-}
-
-void Router::HandleQueryMulti(const FrameView& frame,
-                              std::vector<std::uint8_t>* out) {
-  Result<server::QueryMultiRequest> req =
-      server::DecodeQueryMulti(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  std::vector<double> phis;
-  {
-    const Status status = server::DecodeDoublesInto(
-        req.value().phis_le, req.value().count, /*reject_nan=*/true, &phis);
-    if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
-    }
-  }
-
-  std::vector<double> answers;
-  Status status;
-  if (IsPartitioned(name)) {
-    status = FanOutQuery(name, phis, &answers);
-  } else {
-    status = ForwardWithFailover(name, [&](Client& client) {
-      answers.clear();
-      return client.QueryMulti(name, phis, &answers);
-    });
-  }
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  server::EncodeQueryMultiOk(answers, out);
-}
-
-void Router::HandleNameOp(const FrameView& frame,
-                          std::vector<std::uint8_t>* out) {
+void Router::HandleAggregateStats(const FrameView& frame,
+                                  std::vector<std::uint8_t>* out) {
   Result<server::NameRequest> req =
       server::DecodeNameRequest(frame.type, frame.payload, frame.payload_len);
   if (!req.ok()) {
     return server::EncodeErrorResponse(frame.type, req.status(), out);
   }
   const std::string_view name = req.value().name;
-
-  if (frame.type == MsgType::kDelete) {
-    if (IsPartitioned(name)) {
-      Status first_error = Status::OK();
-      for (std::size_t i = 0; i < backends_.size(); ++i) {
-        if (!health_.IsUsable(static_cast<int>(i))) continue;
-        const Status status =
-            WithBackend(static_cast<int>(i), [&](Client& client) {
-              return client.Delete(name);
-            });
-        if (!status.ok() && status.code() != StatusCode::kNotFound &&
-            first_error.ok()) {
-          first_error = status;
-        }
-      }
-      MutexLock lock(tenants_mu_);
-      tenants_.erase(std::string(name));
-      if (!first_error.ok()) {
-        return server::EncodeErrorResponse(frame.type, first_error, out);
-      }
-      return server::EncodeEmptyOk(frame.type, out);
-    }
-    const Status status = ForwardWithFailover(name, [&](Client& client) {
-      return client.Delete(name);
+  // With replication the totals count each mirrored copy once per holder:
+  // fleet-level occupancy, not distinct data.
+  server::StatsReply total;
+  bool any = false;
+  Status last_error = Status::Internal("no usable backends");
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    if (!health_.IsUsable(static_cast<int>(i))) continue;
+    server::StatsReply reply;
+    const Status status = WithBackend(static_cast<int>(i), [&](Client& client) {
+      Result<server::StatsReply> r = client.Stats(name);
+      if (!r.ok()) return r.status();
+      reply = r.value();
+      return Status::OK();
     });
-    if (options_.replicate) {
-      // Best effort on the other copy; NotFound / dead replica are fine.
-      const int replica = ring_.ReplicaOf(name);
-      const int serving = ServingIndexOf(name);
-      if (replica >= 0) {
-        const int other = serving == replica ? ring_.OwnerOf(name) : replica;
-        (void)WithBackend(other, [&](Client& client) {
-          return client.Delete(name);
-        });
-      }
-    }
-    {
-      MutexLock lock(tenants_mu_);
-      tenants_.erase(std::string(name));
-    }
     if (!status.ok()) {
-      return server::EncodeErrorResponse(frame.type, status, out);
+      last_error = status;
+      continue;
     }
-    return server::EncodeEmptyOk(frame.type, out);
-  }
-
-  if (frame.type == MsgType::kFetchSummary && IsPartitioned(name)) {
-    // Fan out and splice: partials share one k, so the union of their
-    // buffer sets is itself a valid partial summary — this is what lets
-    // routers stack hierarchically.
-    std::vector<PartialSummary> parts;
-    Status last_error = Status::NotFound(
-        "tenant '" + std::string(name) + "' not found on any backend");
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      if (!health_.IsUsable(static_cast<int>(i))) continue;
-      std::vector<std::uint8_t> blob;
-      const Status status =
-          WithBackend(static_cast<int>(i), [&](Client& client) {
-            return client.FetchSummary(name, &blob);
-          });
-      if (!status.ok()) {
-        last_error = status;
-        continue;
-      }
-      Result<PartialSummary> part = DeserializePartialSummary(
-          std::span<const std::uint8_t>(blob.data(), blob.size()));
-      if (!part.ok()) {
-        return server::EncodeErrorResponse(frame.type, part.status(), out);
-      }
-      parts.push_back(std::move(part).value());
-    }
-    if (parts.empty()) {
-      return server::EncodeErrorResponse(frame.type, last_error, out);
-    }
-    PartialSummary combined = std::move(parts.front());
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-      if (parts[i].params.k != combined.params.k) {
-        return server::EncodeErrorResponse(
-            frame.type,
-            Status::Internal("partitions disagree on buffer capacity k"),
-            out);
-      }
-      if (parts[i].params.b > combined.params.b) {
-        combined.params = parts[i].params;
-      }
-      combined.count += parts[i].count;
-      for (ShippedBuffer& buf : parts[i].buffers) {
-        combined.buffers.push_back(std::move(buf));
-      }
-    }
-    std::vector<std::uint8_t> blob;
-    SerializePartialSummary(combined, &blob);
-    return server::EncodeFetchSummaryOk(blob, out);
-  }
-
-  if (frame.type == MsgType::kSnapshot && IsPartitioned(name)) {
-    return server::EncodeErrorResponse(
-        frame.type,
-        Status::FailedPrecondition(
-            "partitioned tenants have no single checkpoint; use "
-            "FETCH_SUMMARY or snapshot the backends directly"),
-        out);
-  }
-
-  std::vector<std::uint8_t> blob;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    blob.clear();
-    return frame.type == MsgType::kSnapshot
-               ? client.Snapshot(name, &blob)
-               : client.FetchSummary(name, &blob);
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  if (frame.type == MsgType::kSnapshot) {
-    server::EncodeSnapshotOk(blob, out);
-  } else {
-    server::EncodeFetchSummaryOk(blob, out);
-  }
-}
-
-void Router::HandleStats(const FrameView& frame,
-                         std::vector<std::uint8_t>* out) {
-  Result<server::NameRequest> req =
-      server::DecodeNameRequest(frame.type, frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-
-  if (name.empty() || IsPartitioned(name)) {
-    // Aggregate across the fleet. With replication the totals count each
-    // mirrored copy once per holder — fleet-level occupancy, not distinct
-    // data.
-    server::StatsReply total;
-    bool any = false;
-    Status last_error = Status::Internal("no usable backends");
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      if (!health_.IsUsable(static_cast<int>(i))) continue;
-      server::StatsReply reply;
-      const Status status =
-          WithBackend(static_cast<int>(i), [&](Client& client) {
-            Result<server::StatsReply> r = client.Stats(name);
-            if (!r.ok()) return r.status();
-            reply = r.value();
-            return Status::OK();
-          });
-      if (!status.ok()) {
-        last_error = status;
-        continue;
-      }
-      any = true;
-      total.num_tenants += reply.num_tenants;
-      total.total_count += reply.total_count;
-      if (reply.tenant_present) {
-        total.tenant_present = true;
-        total.tenant_kind = reply.tenant_kind;
-        total.tenant_count += reply.tenant_count;
-        total.tenant_memory_elements += reply.tenant_memory_elements;
-      }
-    }
-    if (!any) {
-      return server::EncodeErrorResponse(frame.type, last_error, out);
-    }
-    return server::EncodeStatsOk(total, out);
-  }
-
-  server::StatsReply reply;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    Result<server::StatsReply> r = client.Stats(name);
-    if (!r.ok()) return r.status();
-    reply = r.value();
-    return Status::OK();
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  server::EncodeStatsOk(reply, out);
-}
-
-void Router::HandleRestore(const FrameView& frame,
-                           std::vector<std::uint8_t>* out) {
-  Result<server::RestoreRequest> req =
-      server::DecodeRestore(frame.payload, frame.payload_len);
-  if (!req.ok()) {
-    return server::EncodeErrorResponse(frame.type, req.status(), out);
-  }
-  const std::string_view name = req.value().name;
-  if (IsPartitioned(name)) {
-    return server::EncodeErrorResponse(
-        frame.type,
-        Status::FailedPrecondition(
-            "partitioned tenants cannot be restored through the router"),
-        out);
-  }
-  const std::span<const std::uint8_t> blob(req.value().blob,
-                                           req.value().blob_len);
-  const TenantConfig config = req.value().config;
-  const Status status = ForwardWithFailover(name, [&](Client& client) {
-    return client.RestoreTenant(name, config, blob);
-  });
-  if (!status.ok()) {
-    return server::EncodeErrorResponse(frame.type, status, out);
-  }
-  bool replica_dirty = false;
-  bool use_replica = false;
-  {
-    MutexLock lock(tenants_mu_);
-    auto it = tenants_.find(std::string(name));
-    use_replica = it != tenants_.end() && it->second.failed_over;
-  }
-  if (options_.replicate && !use_replica) {
-    const int replica = ring_.ReplicaOf(name);
-    if (replica >= 0) {
-      const Status mirrored = WithBackend(replica, [&](Client& client) {
-        return client.RestoreTenant(name, config, blob);
-      });
-      replica_dirty = !mirrored.ok();
+    any = true;
+    total.num_tenants += reply.num_tenants;
+    total.total_count += reply.total_count;
+    if (reply.tenant_present) {
+      total.tenant_present = true;
+      total.tenant_kind = reply.tenant_kind;
+      total.tenant_count += reply.tenant_count;
+      total.tenant_memory_elements += reply.tenant_memory_elements;
     }
   }
-  {
-    MutexLock lock(tenants_mu_);
-    TenantState& state = tenants_[std::string(name)];
-    state.config = config;
-    state.partitioned = false;
-    if (replica_dirty && !state.replica_dirty) {
-      state.replica_dirty = true;
-      ++state.dirty_gen;
-    }
-  }
-  server::EncodeEmptyOk(frame.type, out);
+  if (!any) return server::EncodeErrorResponse(frame.type, last_error, out);
+  server::EncodeStatsOk(total, out);
 }
 
 // ---------------------------------------------------------------------------

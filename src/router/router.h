@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/partial.h"
 #include "router/hash_ring.h"
 #include "router/health.h"
 #include "server/client.h"
@@ -57,11 +59,20 @@ struct RouterOptions {
   std::vector<std::string> partitioned;
 };
 
+/// Seed spacing for partitioned CREATE broadcast: backend i gets
+/// config.seed + i * kPartitionSeedStride, so partitions sample
+/// independently (identical seeds would correlate their Bernoulli draws)
+/// while remaining reproducible from the tenant's one configured seed.
+inline constexpr std::uint64_t kPartitionSeedStride = 0x9e3779b97f4a7c15ULL;
+
 /// Stateless distributed front for a fleet of mrlquantd backends. Speaks
 /// the same wire protocol as the backends on its listeners, so existing
 /// clients (mrlquant_client, bench drivers) point at the router unchanged;
 /// tenant placement, §6 fan-out merging, replication, and failover all
-/// happen behind it.
+/// happen behind it. The router checks each client frame once (version,
+/// type, CRC); a non-partitioned tenant's requests then travel to the
+/// backends as the bytes received, and the backend's reply travels back
+/// unchanged.
 ///
 /// Threading: one acceptor thread per listener, one thread per client
 /// connection (responses are written in request order, preserving the
@@ -128,34 +139,52 @@ class Router {
     std::uint64_t dirty_gen = 0;
   };
 
+  /// Buffers one client connection reuses across frames, so steady-state
+  /// forwarding allocates nothing.
+  struct ConnScratch {
+    std::vector<std::uint8_t> frame;  ///< a slice of a partitioned batch
+    std::vector<int> usable;          ///< backends a batch is dealt out to
+  };
+
   explicit Router(RouterOptions options);
   Status Start();
 
   void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
 
-  /// Decodes and dispatches one request frame, appending exactly one
-  /// response frame to *out.
+  /// Dispatches one CRC-checked request frame (`raw`, length prefix
+  /// included), appending exactly one response frame to *out.
   void HandleFrame(const server::FrameView& frame,
+                   std::span<const std::uint8_t> raw, ConnScratch* scratch,
                    std::vector<std::uint8_t>* out);
 
-  void HandleCreate(const server::FrameView& frame,
-                    std::vector<std::uint8_t>* out);
-  void HandleAddBatch(const server::FrameView& frame,
-                      std::vector<std::uint8_t>* out);
-  void HandleQuery(const server::FrameView& frame,
-                   std::vector<std::uint8_t>* out);
-  void HandleQueryMulti(const server::FrameView& frame,
-                        std::vector<std::uint8_t>* out);
-  void HandleNameOp(const server::FrameView& frame,
-                    std::vector<std::uint8_t>* out);
-  void HandleStats(const server::FrameView& frame,
-                   std::vector<std::uint8_t>* out);
-  void HandleRestore(const server::FrameView& frame,
+  /// A non-partitioned tenant's request: `raw` goes verbatim to the serving
+  /// backend (failing over to the replica on a transport failure), and
+  /// writes are mirrored to the replica. The serving backend's reply is
+  /// passed through; only its header is read.
+  void Forward(const server::FrameView& frame,
+               std::span<const std::uint8_t> raw, std::string_view name,
+               std::vector<std::uint8_t>* out);
+
+  /// A partitioned tenant's request: broadcast, split or fanned out.
+  void HandlePartitioned(const server::FrameView& frame, ConnScratch* scratch,
+                         std::vector<std::uint8_t>* out);
+  /// Deals a partitioned ADD_BATCH out in contiguous slices of its wire
+  /// bytes, one per usable backend, after refusing NaN in the whole batch.
+  void SplitAddBatch(const server::FrameView& frame, ConnScratch* scratch,
                      std::vector<std::uint8_t>* out);
+  /// Fleet-wide STATS (empty name) or a partitioned tenant's, summed over
+  /// every usable backend.
+  void HandleAggregateStats(const server::FrameView& frame,
+                            std::vector<std::uint8_t>* out);
 
-  /// Fans QUERY/QUERY_MULTI out over a partitioned tenant: FETCH_SUMMARY
-  /// from every usable backend, merge with MergePartialQuantiles.
+  /// FETCH_SUMMARY of `name` from every usable backend. A missing or
+  /// unreachable partition is skipped; only an all-miss fails.
+  Status FetchPartials(std::string_view name,
+                       std::vector<PartialSummary>* parts);
+
+  /// Fans QUERY/QUERY_MULTI out over a partitioned tenant: FetchPartials,
+  /// then merge with MergePartialQuantiles.
   Status FanOutQuery(std::string_view name, std::span<const double> phis,
                      std::vector<double>* answers);
 
@@ -171,15 +200,13 @@ class Router {
   template <typename Fn>
   Status WithBackend(int index, Fn&& rpc, bool* transport_failed = nullptr);
 
-  /// Serving backend for a non-partitioned tenant: the ring owner, or the
-  /// replica once the tenant failed over.
-  int ServingIndexOf(std::string_view name) const;
-
-  /// Forwards an RPC for tenant `name` to its serving backend; on a
-  /// transport failure with replication enabled, fails the tenant over to
-  /// its replica (sticky) and retries there once.
-  template <typename Fn>
-  Status ForwardWithFailover(std::string_view name, Fn&& rpc);
+  /// Sends `raw` (a request of type `type`) verbatim to backend `index` and
+  /// appends its reply frame to *reply when non-null. Returns the
+  /// backend's status, or the transport error when no reply came (then
+  /// nothing is appended).
+  Status SendFrame(int index, std::span<const std::uint8_t> raw,
+                   server::MsgType type, std::vector<std::uint8_t>* reply,
+                   bool* transport_failed = nullptr);
 
   void HealthLoop();
   void ProbeBackends();
@@ -187,14 +214,23 @@ class Router {
 
   bool IsPartitioned(std::string_view name) const;
 
+  /// Hashes std::string and std::string_view alike, so tenants_ is
+  /// searched by a frame's name view without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   RouterOptions options_;
   HashRing ring_;
   mutable HealthTracker health_;
   std::vector<std::unique_ptr<Backend>> backends_;
 
   mutable Mutex tenants_mu_;
-  std::unordered_map<std::string, TenantState> tenants_
-      MRLQUANT_GUARDED_BY(tenants_mu_);
+  std::unordered_map<std::string, TenantState, NameHash, std::equal_to<>>
+      tenants_ MRLQUANT_GUARDED_BY(tenants_mu_);
 
   int uds_listen_fd_ = -1;
   int tcp_listen_fd_ = -1;

@@ -190,9 +190,10 @@ Status Client::CheckNoPipeline() const {
       "pipeline requests queued; call PipelineFlush first");
 }
 
-Result<ResponseView> Client::RoundTrip(MsgType sent) {
+Result<ResponseView> Client::RoundTrip(const std::uint8_t* frame,
+                                       std::size_t n, MsgType sent) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  const IoOutcome wrote = WriteFull(fd_, request_.data(), request_.size());
+  const IoOutcome wrote = WriteFull(fd_, frame, n);
   if (wrote != IoOutcome::kOk) {
     const Status status = wrote == IoOutcome::kTimeout
                               ? Status::Internal("send timed out")
@@ -431,6 +432,24 @@ Status Client::RestoreTenant(std::string_view name, const TenantConfig& config,
   Result<ResponseView> response = RoundTrip(MsgType::kRestore);
   if (!response.ok()) return response.status();
   return response.value().ToStatus();
+}
+
+Result<ResponseView> Client::ForwardFrame(std::span<const std::uint8_t> frame,
+                                          MsgType sent,
+                                          std::vector<std::uint8_t>* reply) {
+  if (Status busy = CheckNoPipeline(); !busy.ok()) return busy;
+  Result<ResponseView> response = RoundTrip(frame.data(), frame.size(), sent);
+  if (response.ok() && reply != nullptr) {
+    const std::uint32_t body_len = static_cast<std::uint32_t>(response_.size());
+    const std::uint8_t prefix[4] = {
+        static_cast<std::uint8_t>(body_len),
+        static_cast<std::uint8_t>(body_len >> 8),
+        static_cast<std::uint8_t>(body_len >> 16),
+        static_cast<std::uint8_t>(body_len >> 24)};
+    reply->insert(reply->end(), prefix, prefix + sizeof(prefix));
+    reply->insert(reply->end(), response_.begin(), response_.end());
+  }
+  return response;
 }
 
 }  // namespace server

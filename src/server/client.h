@@ -75,6 +75,16 @@ class Client {
   Status RestoreTenant(std::string_view name, const TenantConfig& config,
                        std::span<const std::uint8_t> blob);
 
+  /// Proxy round trip: sends `frame`, one complete request frame of type
+  /// `sent` (length prefix included), byte for byte, and reads one
+  /// response frame. When `reply` is non-null the response frame, length
+  /// prefix included, is appended to it unchanged. A server-side error is
+  /// the returned view's status, not this call's. The view borrows from
+  /// this client and is valid until its next call.
+  Result<ResponseView> ForwardFrame(std::span<const std::uint8_t> frame,
+                                    MsgType sent,
+                                    std::vector<std::uint8_t>* reply);
+
   // -------------------------------------------------------------------------
   // Pipelining (docs/wire_protocol.md, "Request pipelining"): queue any
   // number of requests, send them in one write, then collect the responses
@@ -117,7 +127,12 @@ class Client {
 
   /// Writes request_, reads one response frame into response_, and decodes
   /// its header. Checks that the response echoes `sent` as request type.
-  Result<ResponseView> RoundTrip(MsgType sent);
+  Result<ResponseView> RoundTrip(MsgType sent) {
+    return RoundTrip(request_.data(), request_.size(), sent);
+  }
+  /// As above for the `n` request bytes at `frame`.
+  Result<ResponseView> RoundTrip(const std::uint8_t* frame, std::size_t n,
+                                 MsgType sent);
 
   /// Reads one response frame into response_ and decodes its header.
   Result<ResponseView> ReadResponse(MsgType sent);

@@ -89,6 +89,10 @@ bool GetName(BinaryReader* reader, const std::uint8_t* payload,
   return true;
 }
 
+Status NanRejected() {
+  return Status::InvalidArgument("NaN rejected at the protocol boundary");
+}
+
 Status RequireAtEnd(const BinaryReader& reader) {
   if (!reader.status().ok()) return reader.status();
   if (reader.Remaining() != 0) {
@@ -287,6 +291,15 @@ void EncodeAddBatch(std::string_view name, std::span<const Value> values,
   frame.Finish();
 }
 
+void EncodeAddBatchLe(std::string_view name, const std::uint8_t* values_le,
+                      std::uint64_t count, std::vector<std::uint8_t>* out) {
+  FrameBuilder frame(MsgType::kAddBatch, out);
+  frame.PutName(name);
+  frame.PutU64(count);
+  frame.PutBytes(values_le, static_cast<std::size_t>(count) * sizeof(double));
+  frame.Finish();
+}
+
 void EncodeQuery(std::string_view name, double phi,
                  std::vector<std::uint8_t>* out) {
   FrameBuilder frame(MsgType::kQuery, out);
@@ -454,9 +467,16 @@ Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
     const double v = LoadDoubleLe(le + i * sizeof(double));
     if (reject_nan && std::isnan(v)) {
       out->clear();
-      return Status::InvalidArgument("NaN rejected at the protocol boundary");
+      return NanRejected();
     }
     (*out)[static_cast<std::size_t>(i)] = v;
+  }
+  return Status::OK();
+}
+
+Status RejectNanLe(const std::uint8_t* le, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (std::isnan(LoadDoubleLe(le + i * sizeof(double)))) return NanRejected();
   }
   return Status::OK();
 }

@@ -199,6 +199,11 @@ void EncodeCreateSketch(std::string_view name, const TenantConfig& config,
                         std::vector<std::uint8_t>* out);
 void EncodeAddBatch(std::string_view name, std::span<const Value> values,
                     std::vector<std::uint8_t>* out);
+/// ADD_BATCH from `count` doubles already in wire form (little-endian):
+/// the values are copied byte for byte, never decoded. The router builds
+/// the slices of a partitioned batch with it.
+void EncodeAddBatchLe(std::string_view name, const std::uint8_t* values_le,
+                      std::uint64_t count, std::vector<std::uint8_t>* out);
 void EncodeQuery(std::string_view name, double phi,
                  std::vector<std::uint8_t>* out);
 void EncodeQueryMulti(std::string_view name, std::span<const double> phis,
@@ -242,6 +247,11 @@ std::string_view FrameTenantName(const std::uint8_t* payload,
 /// unreachable from the network.
 Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
                          bool reject_nan, std::vector<double>* out);
+
+/// Refuses NaN among `count` little-endian doubles in place, writing
+/// nothing, with the error DecodeDoublesInto gives. The router checks a
+/// partitioned batch with it before slicing the bytes.
+Status RejectNanLe(const std::uint8_t* le, std::uint64_t count);
 
 // ---------------------------------------------------------------------------
 // Responses

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -149,6 +150,18 @@ TEST(FrameTest, AddBatchRoundTrip) {
                                 /*reject_nan=*/true, &decoded)
                   .ok());
   EXPECT_EQ(decoded, values);
+
+  // Re-framing the wire bytes, as the router slices a partitioned batch,
+  // gives exactly the frame EncodeAddBatch builds from the doubles.
+  std::vector<std::uint8_t> reframed;
+  EncodeAddBatchLe("t", req.value().values_le, req.value().count, &reframed);
+  EXPECT_EQ(reframed, wire);
+  reframed.clear();
+  std::vector<std::uint8_t> tail;
+  EncodeAddBatchLe("t", req.value().values_le + 2 * sizeof(double), 2,
+                   &reframed);
+  EncodeAddBatch("t", std::span<const Value>(values).subspan(2), &tail);
+  EXPECT_EQ(reframed, tail);
 }
 
 TEST(FrameTest, QueryAndQueryMultiRoundTrip) {
@@ -327,6 +340,29 @@ TEST(FrameTest, SemanticValidation) {
   EXPECT_FALSE(DecodeDoublesInto(req.value().values_le, req.value().count,
                                  /*reject_nan=*/true, &decoded)
                    .ok());
+
+  // The router's scan of wire bytes agrees with the decoder on every NaN
+  // bit pattern (quiet, signaling, negative) and passes infinities.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::signaling_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+                         -0.0, std::numeric_limits<double>::denorm_min()}) {
+    wire.clear();
+    const std::vector<Value> batch = {0.5, 2.0, v};
+    EncodeAddBatch("t", batch, &wire);
+    const FrameView view = MustDecode(wire);
+    Result<AddBatchRequest> scanned = DecodeAddBatch(view.payload,
+                                                     view.payload_len);
+    ASSERT_TRUE(scanned.ok());
+    const Status by_scan =
+        RejectNanLe(scanned.value().values_le, scanned.value().count);
+    const Status by_decode =
+        DecodeDoublesInto(scanned.value().values_le, scanned.value().count,
+                          /*reject_nan=*/true, &decoded);
+    EXPECT_EQ(by_scan.ok(), !std::isnan(v)) << v;
+    EXPECT_EQ(by_scan.ToString(), by_decode.ToString()) << v;
+  }
 
   // Bad tenant config.
   TenantConfig config;

@@ -5,15 +5,23 @@
 // resync, and the acceptance scenario: SIGKILL the owning backend
 // mid-ingest, the router fails the tenant over to its replica, and
 // subsequent queries stay within the configured eps of the exact
-// baseline.
+// baseline. Forwarding is pinned byte for byte: sketches fed through the
+// router equal sketches fed the same frames directly, and hostile frames
+// get the answer the daemon itself gives.
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +53,80 @@ double RankOf(const std::vector<Value>& sorted, Value answer) {
 
 constexpr int kBackends = 3;
 
+/// One raw connection: sends arbitrary bytes and reads back one response
+/// frame, so hostile frames (bad CRC included, whose reply no Client
+/// accepts) can be compared between the router and a daemon.
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  /// The reply's echoed request type, status code and message, as
+  /// "type/code/message"; empty when no well-formed reply came back.
+  std::string Exchange(const std::vector<std::uint8_t>& frame) {
+    if (fd_ < 0 || !IoFull(const_cast<std::uint8_t*>(frame.data()),
+                           frame.size(), /*write=*/true)) {
+      return "";
+    }
+    std::uint8_t prefix[4];
+    if (!IoFull(prefix, sizeof(prefix), /*write=*/false)) return "";
+    const std::uint32_t body_len =
+        prefix[0] | (prefix[1] << 8) | (prefix[2] << 16) |
+        (static_cast<std::uint32_t>(prefix[3]) << 24);
+    std::vector<std::uint8_t> body(body_len);
+    if (!IoFull(body.data(), body.size(), /*write=*/false)) return "";
+    Result<server::FrameView> view =
+        server::DecodeFrameBody(body.data(), body.size());
+    if (!view.ok() || view.value().payload_len < 4) return "";
+    const std::uint8_t* p = view.value().payload;
+    const std::size_t msg_len = p[2] | (p[3] << 8);
+    if (4 + msg_len > view.value().payload_len) return "";
+    return std::to_string(p[0]) + "/" + std::to_string(p[1]) + "/" +
+           std::string(reinterpret_cast<const char*>(p + 4), msg_len);
+  }
+
+ private:
+  bool IoFull(std::uint8_t* buf, std::size_t n, bool write) {
+    std::size_t done = 0;
+    while (done < n) {
+      const ssize_t r = write ? ::send(fd_, buf + done, n - done, MSG_NOSIGNAL)
+                              : ::recv(fd_, buf + done, n - done, 0);
+      if (r <= 0) return false;
+      done += static_cast<std::size_t>(r);
+    }
+    return true;
+  }
+
+  int fd_ = -1;
+};
+
+/// An ADD_BATCH frame whose count field says `count` whatever the values.
+std::vector<std::uint8_t> AddBatchFrame(std::string_view name,
+                                        std::uint64_t count,
+                                        const std::vector<Value>& values) {
+  std::vector<std::uint8_t> out;
+  server::FrameBuilder frame(server::MsgType::kAddBatch, &out);
+  frame.PutName(name);
+  frame.PutU64(count);
+  for (const Value v : values) frame.PutDouble(v);
+  frame.Finish();
+  return out;
+}
+
 class RouterE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -52,8 +134,10 @@ class RouterE2eTest : public ::testing::Test {
         "/tmp/mrlq_router_" + std::to_string(::getpid()) + "_" +
         std::to_string(reinterpret_cast<std::uintptr_t>(this) & 0xFFFF);
     router_uds_ = base + "_front.sock";
-    for (int i = 0; i < kBackends; ++i) {
+    for (int i = 0; i <= kBackends; ++i) {
       backend_uds_[i] = base + "_b" + std::to_string(i) + ".sock";
+    }
+    for (int i = 0; i < kBackends; ++i) {
       backend_pid_[i] = SpawnBackend(i);
       ASSERT_GT(backend_pid_[i], 0);
     }
@@ -62,9 +146,9 @@ class RouterE2eTest : public ::testing::Test {
 
   void TearDown() override {
     router_.reset();
-    for (int i = 0; i < kBackends; ++i) KillBackend(i);
+    for (int i = 0; i <= kBackends; ++i) KillBackend(i);
     ::unlink(router_uds_.c_str());
-    for (int i = 0; i < kBackends; ++i) {
+    for (int i = 0; i <= kBackends; ++i) {
       ::unlink(backend_uds_[i].c_str());
     }
   }
@@ -124,9 +208,31 @@ class RouterE2eTest : public ::testing::Test {
     return std::move(client).value();
   }
 
+  Client ConnectBackend(int i) {
+    Result<Client> client = Client::ConnectUnix(backend_uds_[i]);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return std::move(client).value();
+  }
+
+  /// A daemon outside the router's fleet (index kBackends), fed directly
+  /// as the reference the routed backends are compared against.
+  Client StartDirectDaemon() {
+    backend_pid_[kBackends] = SpawnBackend(kBackends);
+    EXPECT_GT(backend_pid_[kBackends], 0);
+    WaitForBackend(kBackends);
+    return ConnectBackend(kBackends);
+  }
+
+  std::vector<std::uint8_t> SnapshotOf(Client& client, std::string_view name) {
+    std::vector<std::uint8_t> blob;
+    const Status status = client.Snapshot(name, &blob);
+    EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+    return blob;
+  }
+
   std::string router_uds_;
-  std::string backend_uds_[kBackends];
-  pid_t backend_pid_[kBackends] = {-1, -1, -1};
+  std::string backend_uds_[kBackends + 1];
+  pid_t backend_pid_[kBackends + 1] = {-1, -1, -1, -1};
   std::unique_ptr<Router> router_;
 };
 
@@ -389,6 +495,135 @@ TEST_F(RouterE2eTest, ReplicaResyncThenFailover) {
   mrl::Result<server::StatsReply> stats = client.Stats("r");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().tenant_count, kN);
+}
+
+// The router forwards a replicated tenant's frames verbatim and slices a
+// partitioned tenant's batches on their wire bytes. Neither may change
+// sketch state: every routed backend must hold the very checkpoint a
+// daemon fed the same frames directly holds.
+TEST_F(RouterE2eTest, ForwardedAndSlicedFramesLeaveIdenticalSketches) {
+  RouterOptions options;
+  options.replicate = true;
+  options.partitioned = {"wide"};
+  StartRouter(std::move(options));
+  Client client = ConnectRouter();
+  Client direct = StartDirectDaemon();
+
+  // eps = 0.05 starts sampling early, so a wrong seed would show.
+  TenantConfig config;
+  config.eps = 0.05;
+  config.seed = 41;
+  ASSERT_TRUE(client.CreateSketch("rep", config).ok());
+  ASSERT_TRUE(client.CreateSketch("wide", config).ok());
+  ASSERT_TRUE(direct.CreateSketch("rep", config).ok());
+  for (int i = 0; i < kBackends; ++i) {
+    TenantConfig part = config;
+    part.seed += static_cast<std::uint64_t>(i) * kPartitionSeedStride;
+    ASSERT_TRUE(direct.CreateSketch("wide" + std::to_string(i), part).ok());
+  }
+
+  // Uneven batch sizes, including ones that leave trailing slices empty.
+  const std::vector<Value> data = UniformStream(150000, 43);
+  const std::size_t sizes[] = {7001, 1, 2, 5000, 12288, 3, 999};
+  std::size_t sent = 0;
+  for (std::size_t b = 0; sent < data.size(); ++b) {
+    const std::size_t n = std::min(sizes[b % 7], data.size() - sent);
+    const std::span<const Value> batch(data.data() + sent, n);
+    sent += n;
+    mrl::Result<std::uint64_t> rep = client.AddBatch("rep", batch);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_EQ(rep.value(), sent);
+    mrl::Result<std::uint64_t> wide = client.AddBatch("wide", batch);
+    ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+    EXPECT_EQ(wide.value(), sent);
+    ASSERT_TRUE(direct.AddBatch("rep", batch).ok());
+    // The router's slicing: contiguous, ceil(n / backends) per backend.
+    const std::size_t per = (n + kBackends - 1) / kBackends;
+    for (int i = 0; i < kBackends; ++i) {
+      const std::size_t begin = std::min(i * per, n);
+      const std::size_t end = std::min(n, begin + per);
+      ASSERT_TRUE(direct
+                      .AddBatch("wide" + std::to_string(i),
+                                batch.subspan(begin, end - begin))
+                      .ok());
+    }
+  }
+
+  const std::vector<std::uint8_t> want = SnapshotOf(direct, "rep");
+  ASSERT_FALSE(want.empty());
+  Client owner = ConnectBackend(router_->OwnerIndexOf("rep"));
+  Client replica = ConnectBackend(router_->ReplicaIndexOf("rep"));
+  EXPECT_EQ(SnapshotOf(owner, "rep"), want) << "owner";
+  EXPECT_EQ(SnapshotOf(replica, "rep"), want) << "replica";
+  EXPECT_EQ(SnapshotOf(client, "rep"), want) << "reply through the router";
+  for (int i = 0; i < kBackends; ++i) {
+    Client backend = ConnectBackend(i);
+    EXPECT_EQ(SnapshotOf(backend, "wide"),
+              SnapshotOf(direct, "wide" + std::to_string(i)))
+        << "partition " << i;
+  }
+}
+
+// Hostile frames through the router get exactly the daemon's answer for the
+// same bytes, and change no sketch anywhere.
+TEST_F(RouterE2eTest, HostileFramesGetTheDaemonsAnswer) {
+  RouterOptions options;
+  options.replicate = true;
+  options.partitioned = {"wide"};
+  StartRouter(std::move(options));
+  Client client = ConnectRouter();
+  Client direct = StartDirectDaemon();
+  TenantConfig config;
+  config.seed = 5;
+  for (const char* name : {"rep", "wide"}) {
+    ASSERT_TRUE(client.CreateSketch(name, config).ok());
+    ASSERT_TRUE(direct.CreateSketch(name, config).ok());
+  }
+  const std::vector<Value> data = UniformStream(3000, 47);
+  ASSERT_TRUE(client.AddBatch("rep", data).ok());
+  ASSERT_TRUE(client.AddBatch("wide", data).ok());
+
+  const auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < kBackends; ++i) {
+      Client backend = ConnectBackend(i);
+      for (const char* name : {"rep", "wide"}) {
+        mrl::Result<server::StatsReply> stats = backend.Stats(name);
+        out.push_back(stats.ok() ? stats.value().tenant_count : 0);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> before = counts();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::uint8_t> bad_crc = AddBatchFrame("rep", 3, {1, 2, 3});
+  bad_crc.back() ^= 0x01;
+  std::vector<Value> nan_last = data;
+  nan_last.back() = nan;  // lands in the partitioned batch's last slice
+  std::vector<std::uint8_t> response;
+  server::EncodeEmptyOk(server::MsgType::kPing, &response);
+  const std::vector<std::vector<std::uint8_t>> hostile = {
+      bad_crc,
+      response,
+      AddBatchFrame("rep", 5, {1, 2, 3, 4}),
+      AddBatchFrame("wide", 5, {1, 2, 3, 4}),
+      AddBatchFrame("bad/name", 2, {1, 2}),
+      AddBatchFrame("rep", 3, {1, nan, 2}),
+      AddBatchFrame("wide", nan_last.size(), nan_last),
+  };
+  RawConn via_router(router_uds_);
+  RawConn via_daemon(backend_uds_[kBackends]);
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    const std::string want = via_daemon.Exchange(hostile[i]);
+    ASSERT_FALSE(want.empty()) << "frame " << i;
+    EXPECT_NE(want.rfind("2/0/", 0), 0u) << "frame " << i << " accepted";
+    EXPECT_EQ(via_router.Exchange(hostile[i]), want) << "frame " << i;
+  }
+  EXPECT_EQ(counts(), before);
+  // Both connections stay usable after every refusal.
+  EXPECT_EQ(via_router.Exchange(AddBatchFrame("rep", 1, {0.5})), "2/0/");
+  EXPECT_TRUE(client.Ping().ok());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // mrlquant_router: stateless distributed front for mrlquantd backends.
 //
-//   mrlquant_router --uds=/tmp/router.sock \
-//                   --backends=unix:/tmp/b0.sock,unix:/tmp/b1.sock \
+//   mrlquant_router --uds=/tmp/router.sock
+//                   --backends=unix:/tmp/b0.sock,unix:/tmp/b1.sock
 //                   --replicate
 //
 // Speaks the same wire protocol as mrlquantd, so any client (including
