@@ -1,7 +1,7 @@
 // Shared main() for the google-benchmark based benches. Runs the usual
 // console reporter and mirrors every non-aggregate run into a
-// BenchReporter, so bench binaries contribute rows to the shared JSON perf
-// artifact (BENCH_PR4.json) without per-bench plumbing.
+// BenchReporter, so bench binaries contribute rows to the JSON perf
+// artifact MRLQUANT_BENCH_JSON names without per-bench plumbing.
 
 #include <benchmark/benchmark.h>
 

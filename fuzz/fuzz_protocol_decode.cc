@@ -7,13 +7,17 @@
 // request/response view or a Status. The harness walks the input as a
 // stream (the server's framing loop), then drives every request decoder
 // and the response decoders over each structurally valid frame, exactly as
-// the server and client library would.
+// the server and client library would. It also aborts if the dispatched
+// CRC-32 (the PCLMULQDQ fold on AVX2 hosts) ever differs from the
+// byte-at-a-time table loop, so the fold meets hostile lengths too.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "server/protocol.h"
+#include "util/simd.h"
 #include "util/status.h"
 
 namespace {
@@ -78,6 +82,10 @@ void ExerciseFrame(const mrl::server::FrameView& frame) {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
+  if (mrl::server::Crc32(data, size) !=
+      ~mrl::simd::ScalarSortKernels().crc32_update(0xFFFFFFFFu, data, size)) {
+    std::abort();
+  }
   // Stream framing loop: consume frames front to back until the buffer is
   // exhausted, a frame is malformed (InvalidArgument — a server would drop
   // or answer), or the remainder is an incomplete frame (OutOfRange — a

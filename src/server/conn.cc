@@ -4,8 +4,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+
+#include "server/protocol.h"
 
 namespace mrl {
 namespace server {
@@ -36,23 +39,38 @@ Conn::IoResult Conn::FillFromSocket() {
     in_.resize(remain);  // NOLINT(mrlquant-no-alloc-in-hot-path): shrink only
     in_head_ = 0;
   }
+  const std::size_t budget_end = in_.size() + kReadBudget;
   std::uint8_t spill[kReadSpill];
   for (;;) {
     const std::size_t size = in_.size();
-    const std::size_t tail_room = in_.capacity() - size;
+    // Re-evaluated after every full read: the bytes just read may have
+    // revealed the length of the frame they start.
+    const std::size_t limit = std::max(budget_end, PartialFrameEnd());
+    // Only a full read (below) gets here past the limit, and it read the
+    // extra byte, so more input is known to be waiting.
+    if (size >= limit) return IoResult::kMore;
+    // One byte past the limit tells a drained socket (short read) from a
+    // backlog without another syscall; it stays buffered as the start of
+    // the next frame.
+    const std::size_t want = limit - size + 1;
+    const std::size_t tail_room = std::min(in_.capacity() - size, want);
+    const std::size_t spill_len = std::min(sizeof(spill), want - tail_room);
     // Expose the buffer's unused capacity as the first iovec so the common
     // case (burst fits the warmed buffer) costs zero copies, with the
     // stack spill as overflow.
     // NOLINTNEXTLINE(mrlquant-no-alloc-in-hot-path): resize within capacity
     in_.resize(size + tail_room);
     iovec iov[2];
-    iov[0].iov_base = in_.data() + size;
-    iov[0].iov_len = tail_room;
-    iov[1].iov_base = spill;
-    iov[1].iov_len = sizeof(spill);
-    const int iovcnt = tail_room > 0 ? 2 : 1;
-    const ssize_t r =
-        ::readv(fd_, tail_room > 0 ? iov : iov + 1, iovcnt);
+    int iovcnt = 0;
+    if (tail_room > 0) {
+      iov[iovcnt].iov_base = in_.data() + size;
+      iov[iovcnt++].iov_len = tail_room;
+    }
+    if (spill_len > 0) {
+      iov[iovcnt].iov_base = spill;
+      iov[iovcnt++].iov_len = spill_len;
+    }
+    const ssize_t r = ::readv(fd_, iov, iovcnt);
     if (r < 0) {
       in_.resize(size);  // NOLINT(mrlquant-no-alloc-in-hot-path): shrink only
       if (errno == EINTR) continue;
@@ -74,9 +92,22 @@ Conn::IoResult Conn::FillFromSocket() {
       // NOLINTNEXTLINE(mrlquant-no-alloc-in-hot-path): high-water growth
       in_.insert(in_.end(), spill, spill + (got - tail_room));
     }
-    if (got < tail_room + sizeof(spill)) return IoResult::kOk;
+    // Short read: the socket is drained.
+    if (got < tail_room + spill_len) return IoResult::kOk;
     // Both iovecs filled: more may be pending, go around again.
   }
+}
+
+std::size_t Conn::PartialFrameEnd() const {
+  std::size_t pos = in_head_;
+  while (in_.size() - pos >= 4) {
+    const std::uint32_t body_len = FrameBodyLen(in_.data() + pos);
+    if (UnframeableBodyLen(body_len)) return 0;
+    const std::size_t end = pos + 4 + body_len;
+    if (end > in_.size()) return end;
+    pos = end;
+  }
+  return 0;
 }
 
 void Conn::Consume(std::size_t n) {

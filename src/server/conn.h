@@ -39,13 +39,28 @@ class Conn {
 
   enum class IoResult {
     kOk,     ///< made progress; socket drained to EAGAIN
+    kMore,   ///< read budget spent with more input waiting
     kEof,    ///< peer closed its write side (buffered input may remain)
     kError,  ///< transport error; drop the connection
   };
 
-  /// Drains the socket into the input buffer (readv: buffer tail first,
-  /// spill chunk second, so a burst larger than the warmed capacity still
-  /// lands in one syscall). Call on EPOLLIN readiness.
+  /// Per-turn read budget. One FillFromSocket call reads at most
+  /// max(kReadBudget, the rest of the frame being read) bytes, plus one
+  /// byte that tells whether more input is waiting, so a writer
+  /// that pipelines a whole burst cannot keep its shard from serving the
+  /// other connections until every frame of the burst is answered. The
+  /// level-triggered epoll brings the connection back for the rest. A
+  /// frame already under way is always read to its end, so one large frame
+  /// still costs one turn. 8 KiB is one 1Ki-value ADD_BATCH frame: on a
+  /// CPU shared by two busy shards, a 16 KiB budget (two such frames per
+  /// turn) left the reads beside them about 50% slower.
+  static constexpr std::size_t kReadBudget = 8 * 1024;
+
+  /// Reads the socket into the input buffer until it would block (kOk) or
+  /// the read budget is spent with more input waiting (kMore) (readv:
+  /// buffer tail first, spill chunk second, so a read larger than the
+  /// warmed capacity still lands in one syscall). Call on EPOLLIN
+  /// readiness.
   MRLQUANT_HOT IoResult FillFromSocket();
 
   /// Unconsumed input bytes (front at `data()`).
@@ -83,8 +98,17 @@ class Conn {
   /// Registered EPOLLOUT interest (response backlog waiting for the
   /// socket); tracked here so the shard only issues epoll_ctl on change.
   bool want_write = false;
+  /// The last FillFromSocket spent its read budget with input left (kMore):
+  /// this connection has had its turn, and the shard serves the
+  /// connections that have not before its next one.
+  bool backlogged = false;
 
  private:
+  /// Buffer offset where the first incomplete frame in the input ends, or 0
+  /// when no such frame's length prefix is buffered (or it is unframeable;
+  /// the shard drops such a connection).
+  std::size_t PartialFrameEnd() const;
+
   int fd_;
   std::size_t write_buffer_cap_;
 

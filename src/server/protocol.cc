@@ -1,34 +1,18 @@
 #include "server/protocol.h"
 
-#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
 
 #include "util/logging.h"
 #include "util/serde.h"
+#include "util/simd.h"
 
 namespace mrl {
 namespace server {
 
 namespace {
-
-// Reflected CRC-32 (IEEE 802.3), table-driven, byte at a time. The table is
-// built once on first use; lookup allocates nothing.
-const std::array<std::uint32_t, 256>& CrcTable() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 void PutU16Le(std::vector<std::uint8_t>* out, std::uint16_t v) {
   out->push_back(v & 0xff);
@@ -54,14 +38,33 @@ void StoreU32Le(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xff;
 }
 
-double LoadDoubleLe(const std::uint8_t* p) {
+/// True on hosts whose doubles are laid out as the wire's little-endian
+/// words, so value arrays cross the wire with one memcpy each way.
+constexpr bool kNativeLe = std::endian::native == std::endian::little;
+
+std::uint64_t LoadU64Le(const std::uint8_t* p) {
   std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  if constexpr (kNativeLe) {
+    std::memcpy(&bits, p, sizeof(bits));
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    }
   }
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  return bits;
+}
+
+/// True when any of the `count` little-endian doubles at `le` is a NaN, in
+/// one branch-free pass: with the sign bit shifted out, exactly the NaNs
+/// (all-ones exponent, nonzero mantissa) exceed the infinities.
+bool AnyNanLe(const std::uint8_t* le, std::uint64_t count) {
+  constexpr std::uint64_t kInfNoSign = 0x7FF0000000000000ull << 1;
+  std::uint64_t nan = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    nan |= static_cast<std::uint64_t>(
+        (LoadU64Le(le + i * sizeof(double)) << 1) > kInfNoSign);
+  }
+  return nan != 0;
 }
 
 /// Reads a u16-length-prefixed name and validates it. The view borrows from
@@ -156,12 +159,7 @@ std::string_view SketchKindName(SketchKind kind) {
 }
 
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t n) {
-  const std::array<std::uint32_t, 256>& table = CrcTable();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return ~simd::ActiveSortKernels().crc32_update(0xFFFFFFFFu, data, n);
 }
 
 bool IsValidTenantName(std::string_view name) {
@@ -179,13 +177,21 @@ bool IsValidTenantName(std::string_view name) {
 // ---------------------------------------------------------------------------
 // Frame scaffolding
 
+std::uint32_t FrameBodyLen(const std::uint8_t* prefix) {
+  return LoadU32Le(prefix);
+}
+
+bool UnframeableBodyLen(std::uint32_t body_len) {
+  return body_len < kFrameHeaderSize - 4 ||
+         body_len > kMaxPayload + (kFrameHeaderSize - 4);
+}
+
 Result<FrameView> DecodeFrame(const std::uint8_t* data, std::size_t size) {
   if (size < 4) {
     return Status::OutOfRange("incomplete frame: length prefix missing");
   }
-  const std::uint32_t body_len = LoadU32Le(data);
-  if (body_len < kFrameHeaderSize - 4 ||
-      body_len > kMaxPayload + (kFrameHeaderSize - 4)) {
+  const std::uint32_t body_len = FrameBodyLen(data);
+  if (UnframeableBodyLen(body_len)) {
     return Status::InvalidArgument("frame length out of bounds");
   }
   if (size < 4 + static_cast<std::size_t>(body_len)) {
@@ -246,6 +252,15 @@ void FrameBuilder::PutDouble(double v) {
   PutU64Le(out_, bits);
 }
 
+void FrameBuilder::PutDoubles(std::span<const double> values) {
+  if constexpr (kNativeLe) {
+    PutBytes(reinterpret_cast<const std::uint8_t*>(values.data()),
+             values.size_bytes());
+  } else {
+    for (double v : values) PutDouble(v);
+  }
+}
+
 void FrameBuilder::PutName(std::string_view name) {
   MRL_CHECK_LE(name.size(), kMaxTenantNameLen);
   PutU16(static_cast<std::uint16_t>(name.size()));
@@ -287,7 +302,7 @@ void EncodeAddBatch(std::string_view name, std::span<const Value> values,
   FrameBuilder frame(MsgType::kAddBatch, out);
   frame.PutName(name);
   frame.PutU64(values.size());
-  for (Value v : values) frame.PutDouble(v);
+  frame.PutDoubles(values);
   frame.Finish();
 }
 
@@ -313,7 +328,7 @@ void EncodeQueryMulti(std::string_view name, std::span<const double> phis,
   FrameBuilder frame(MsgType::kQueryMulti, out);
   frame.PutName(name);
   frame.PutU64(phis.size());
-  for (double phi : phis) frame.PutDouble(phi);
+  frame.PutDoubles(phis);
   frame.Finish();
 }
 
@@ -461,24 +476,25 @@ std::string_view FrameTenantName(const std::uint8_t* payload,
 
 Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
                          bool reject_nan, std::vector<double>* out) {
-  out->clear();
+  if (reject_nan && AnyNanLe(le, count)) {
+    out->clear();
+    return NanRejected();
+  }
+  // No clear() first: resizing within the old size writes nothing, so a
+  // reused buffer is filled once, by the copy.
   out->resize(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const double v = LoadDoubleLe(le + i * sizeof(double));
-    if (reject_nan && std::isnan(v)) {
-      out->clear();
-      return NanRejected();
+  if constexpr (kNativeLe) {
+    if (count > 0) std::memcpy(out->data(), le, out->size() * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < out->size(); ++i) {
+      (*out)[i] = std::bit_cast<double>(LoadU64Le(le + i * sizeof(double)));
     }
-    (*out)[static_cast<std::size_t>(i)] = v;
   }
   return Status::OK();
 }
 
 Status RejectNanLe(const std::uint8_t* le, std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (std::isnan(LoadDoubleLe(le + i * sizeof(double)))) return NanRejected();
-  }
-  return Status::OK();
+  return AnyNanLe(le, count) ? NanRejected() : Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +552,7 @@ void EncodeQueryMultiOk(std::span<const Value> values,
                         std::vector<std::uint8_t>* out) {
   FrameBuilder frame = BeginResponse(MsgType::kQueryMulti, Status::OK(), out);
   frame.PutU64(values.size());
-  for (Value v : values) frame.PutDouble(v);
+  frame.PutDoubles(values);
   frame.Finish();
 }
 

@@ -62,7 +62,10 @@ enum class MsgType : std::uint8_t {
 /// True for the request/response types above.
 bool IsKnownMsgType(std::uint8_t type);
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`, through
+/// the SIMD dispatch (util/simd.h): the PCLMULQDQ fold on the AVX2 path, the
+/// byte-at-a-time table loop otherwise. Both give the same value for every
+/// input; `data` may be null when n == 0.
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t n);
 
 bool IsValidTenantName(std::string_view name);
@@ -119,6 +122,14 @@ struct FrameView {
 /// should read more and retry).
 Result<FrameView> DecodeFrame(const std::uint8_t* data, std::size_t size);
 
+/// The body length a frame's 4-byte little-endian length prefix announces.
+std::uint32_t FrameBodyLen(const std::uint8_t* prefix);
+
+/// True when a length prefix can never frame a valid message (outside
+/// [kFrameHeaderSize - 4, kMaxPayload + kFrameHeaderSize - 4]): a byte
+/// stream cannot be resynchronized after one, so the connection is dropped.
+bool UnframeableBodyLen(std::uint32_t body_len);
+
 /// As DecodeFrame for a frame whose 4-byte length prefix was already
 /// consumed by the transport: `body` must hold exactly the `body_len` bytes
 /// the prefix announced.
@@ -136,6 +147,9 @@ class FrameBuilder {
   void PutU32(std::uint32_t v);
   void PutU64(std::uint64_t v);
   void PutDouble(double v);
+  /// Appends each value as PutDouble would: one bulk copy on little-endian
+  /// hosts, where the in-memory doubles already are the wire bytes.
+  void PutDoubles(std::span<const double> values);
   /// u16 length + bytes.
   void PutName(std::string_view name);
   void PutBytes(const std::uint8_t* data, std::size_t n);
@@ -242,9 +256,11 @@ std::string_view FrameTenantName(const std::uint8_t* payload,
                                  std::size_t len);
 
 /// Copies `count` little-endian doubles into *out (capacity reused).
-/// `reject_nan` refuses NaN bit patterns with InvalidArgument — ADD_BATCH
-/// and QUERY_MULTI both use it, keeping the sketches' NaN CHECK-abort
-/// unreachable from the network.
+/// `reject_nan` refuses NaN bit patterns with InvalidArgument and leaves
+/// *out empty — ADD_BATCH and QUERY_MULTI both use it, keeping the
+/// sketches' NaN CHECK-abort unreachable from the network. The NaN check is
+/// one pass over the wire words before anything is copied; on
+/// little-endian hosts the copy is one memcpy.
 Status DecodeDoublesInto(const std::uint8_t* le, std::uint64_t count,
                          bool reject_nan, std::vector<double>* out);
 

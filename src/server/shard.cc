@@ -1,5 +1,7 @@
 #include "server/shard.h"
 
+#include <sched.h>
+
 #include <cstring>
 #include <utility>
 
@@ -11,21 +13,6 @@ namespace server {
 namespace {
 
 constexpr int kMaxEvents = 64;
-
-std::uint32_t LoadU32Le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-/// True when the 4-byte length prefix can never frame a valid message —
-/// there is no way to resync a byte stream after that, so the connection
-/// is dropped (same contract as the PR5 worker served).
-bool UnframeableBodyLen(std::uint32_t body_len) {
-  return body_len < kFrameHeaderSize - 4 ||
-         body_len > kMaxPayload + kFrameHeaderSize - 4;
-}
 
 }  // namespace
 
@@ -74,9 +61,18 @@ void Shard::Adopt(std::unique_ptr<Conn> conn) {
 
 void Shard::Loop() {
   epoll_event events[kMaxEvents];
+  const epoll_event* deferred[kMaxEvents];
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n = loop_.Wait(events, kMaxEvents, /*timeout_ms=*/-1);
     if (n < 0) break;
+    // Round-robin order: a connection that spent its read budget last turn
+    // goes after the ones that have not had a turn yet (epoll lists it
+    // first, since level-triggered fds are re-queued before new arrivals),
+    // so a request that just arrived does not wait behind another
+    // connection's backlog. Handlers only ever close or migrate their own
+    // connection, so the deferred ones are still alive in the second pass.
+    std::size_t num_deferred = 0;
+    backlog_ = false;
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == nullptr) {
         loop_.ConsumeWake();
@@ -84,18 +80,31 @@ void Shard::Loop() {
         DrainInbox();
         continue;
       }
-      Conn* conn = static_cast<Conn*>(events[i].data.ptr);
-      // One epoll_event per fd per Wait: after a handler closes or
-      // migrates the connection the pointer is dead, so each branch below
-      // is terminal for this event.
-      if ((events[i].events & EPOLLIN) != 0) {
-        OnReadable(conn);
-      } else if ((events[i].events & EPOLLOUT) != 0) {
-        OnWritable(conn);
-      } else if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        CloseConn(conn);
+      if (static_cast<Conn*>(events[i].data.ptr)->backlogged) {
+        deferred[num_deferred++] = &events[i];
+        continue;
       }
+      Dispatch(events[i]);
     }
+    for (std::size_t i = 0; i < num_deferred; ++i) Dispatch(*deferred[i]);
+    // Still behind on some connection: let other runnable threads of this
+    // CPU (another shard, a co-located client) go before the next turn,
+    // rather than hold the CPU for a whole scheduler slice. Returns at once
+    // when nothing else is runnable, as on a core of its own.
+    if (backlog_) ::sched_yield();
+  }
+}
+
+void Shard::Dispatch(const epoll_event& event) {
+  Conn* conn = static_cast<Conn*>(event.data.ptr);
+  // One epoll_event per fd per Wait: after a handler closes or migrates
+  // the connection the pointer is dead, so each branch is terminal.
+  if ((event.events & EPOLLIN) != 0) {
+    OnReadable(conn);
+  } else if ((event.events & EPOLLOUT) != 0) {
+    OnWritable(conn);
+  } else if ((event.events & (EPOLLHUP | EPOLLERR)) != 0) {
+    CloseConn(conn);
   }
 }
 
@@ -125,6 +134,8 @@ void Shard::DrainInbox() {
 
 void Shard::OnReadable(Conn* conn) {
   const Conn::IoResult io = conn->FillFromSocket();
+  conn->backlogged = io == Conn::IoResult::kMore;
+  backlog_ = backlog_ || conn->backlogged;
   if (io == Conn::IoResult::kError) {
     CloseConn(conn);
     return;
@@ -148,7 +159,7 @@ bool Shard::MaybeMigrate(Conn* conn) {
   }
   const std::size_t avail = conn->available();
   if (avail < 4) return false;  // prefix not buffered yet: route later
-  const std::uint32_t body_len = LoadU32Le(conn->data());
+  const std::uint32_t body_len = FrameBodyLen(conn->data());
   if (UnframeableBodyLen(body_len)) {
     conn->routed = true;  // garbage: process (= drop) locally
     return false;
@@ -181,7 +192,7 @@ void Shard::ProcessFrames(Conn* conn) {
   while (!conn->closing) {
     const std::size_t avail = conn->available();
     if (avail < 4) return;
-    const std::uint32_t body_len = LoadU32Le(conn->data());
+    const std::uint32_t body_len = FrameBodyLen(conn->data());
     if (UnframeableBodyLen(body_len)) {
       // Flush what has been answered, then drop the connection.
       conn->closing = true;

@@ -66,7 +66,11 @@ class Shard {
   void Loop() MRLQUANT_EXCLUDES(inbox_mu_);
   void DrainInbox() MRLQUANT_EXCLUDES(inbox_mu_);
 
-  /// EPOLLIN: drain the socket, maybe migrate, process frames, flush.
+  /// Runs the handler for one connection's readiness event.
+  void Dispatch(const epoll_event& event);
+
+  /// EPOLLIN: read up to the read budget, maybe migrate, process frames,
+  /// flush.
   void OnReadable(Conn* conn);
   void OnWritable(Conn* conn);
 
@@ -110,6 +114,8 @@ class Shard {
   /// scratch reused across all of them (decoded doubles, QueryMany
   /// answers, Snapshot blob), so steady-state handling allocates nothing.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  /// Some connection spent its read budget in this loop iteration.
+  bool backlog_ = false;
   std::vector<double> doubles_;
   std::vector<Value> answers_;
   std::vector<std::uint8_t> blob_;

@@ -1,5 +1,6 @@
 #include "util/simd.h"
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -14,8 +15,9 @@ namespace {
 
 // ------------------------------------------------------------------ scalar
 // The portable kernels — bit-for-bit the loops PR4 shipped inside
-// util/sort.cc, now hoisted behind the dispatch table so they double as the
-// differential references for the AVX2 lane (the SortValuesNaive pattern:
+// util/sort.cc (and the CRC loop the wire protocol shipped with), now
+// hoisted behind the dispatch table so they double as the differential
+// references for the AVX2 lane (the SortValuesNaive pattern:
 // the old code stays in the library and the new code must match it).
 
 MRLQUANT_HOT void ScalarTransformKeys(const Value* in, std::uint64_t* out,
@@ -54,11 +56,38 @@ MRLQUANT_HOT void ScalarTransformAndHistogram(const Value* in,
   ScalarHistogram(out, n, hist);
 }
 
+/// The reflected CRC-32 (IEEE 802.3) lookup table, one entry per byte.
+constexpr std::array<std::uint32_t, 256> MakeCrcTable() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = MakeCrcTable();
+
+/// Table-driven CRC-32, one byte at a time: the loop the wire protocol
+/// shipped with, kept as the reference the PCLMULQDQ fold must match.
+MRLQUANT_HOT std::uint32_t ScalarCrc32Update(std::uint32_t crc,
+                                             const std::uint8_t* data,
+                                             std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = kCrcTable[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+  }
+  return crc;
+}
+
 constexpr SortKernelOps kScalarOps = {
     ScalarTransformKeys,
     ScalarInverseKeys,
     ScalarTransformAndHistogram,
     ScalarHistogram,
+    ScalarCrc32Update,
 };
 
 // ---------------------------------------------------------------- dispatch
@@ -156,7 +185,7 @@ DispatchPath ForceDispatchForTesting(DispatchPath path) {
   if (path == DispatchPath::kAvx2) {
     ops = Avx2SortKernelsOrNull();
     MRL_CHECK(ops != nullptr)
-        << "ForceDispatchForTesting(kAvx2): host or build lacks AVX2";
+        << "ForceDispatchForTesting(kAvx2): host or build lacks AVX2/PCLMUL";
   }
   g_active_path.store(path, std::memory_order_relaxed);
   g_active_ops.store(ops, std::memory_order_release);

@@ -13,12 +13,14 @@ namespace simd {
 /// The SIMD kernel lane. The radix sort engine (util/sort.h) and the
 /// loser-tree merge (core/weighted_merge.h) spend their per-value budget in
 /// three tight loops over contiguous doubles: the order-preserving key
-/// transform, the fused byte-histogram pass, and the leaf-head refill. This
-/// header is the dispatch seam between their portable scalar
-/// implementations (util/simd.cc — the differential references, bit-for-bit
-/// what PR4 shipped) and the AVX2 implementations (util/sort_simd.cc,
-/// compiled with -mavx2 in its own TU and only ever *called* after a
-/// runtime cpuid check).
+/// transform, the fused byte-histogram pass, and the leaf-head refill. The
+/// wire protocol spends its budget in the CRC-32 over every frame payload.
+/// This header is the dispatch seam between their portable scalar
+/// implementations (util/simd.cc — the differential references: the loops
+/// the sort engine first shipped and the byte-at-a-time CRC table loop) and
+/// the x86 implementations (util/sort_simd.cc, compiled with -mavx2, and
+/// util/crc_simd.cc, compiled with -mpclmul -msse4.1, each in its own TU
+/// and only ever *called* after a runtime cpuid check).
 ///
 /// Dispatch policy: resolved exactly once, at first use, into a
 /// function-pointer table.
@@ -26,8 +28,11 @@ namespace simd {
 ///     scalar kernels regardless of what the CPU supports (path name
 ///     "forced-scalar") — the portable-build escape hatch CI exercises on
 ///     every PR.
-///   * Otherwise `__builtin_cpu_supports("avx2")` selects the AVX2 table
-///     when the host has it and this build compiled it ("avx2").
+///   * Otherwise `__builtin_cpu_supports("avx2")` together with
+///     `__builtin_cpu_supports("pclmul")` selects the AVX2 table, whose CRC
+///     kernel is the PCLMULQDQ fold, when the host has both and this build
+///     compiled it ("avx2"). Every AVX2 part also has PCLMULQDQ, so the
+///     second check only keeps the fold from ever running without it.
 ///   * Anything else — non-x86, compiler without -mavx2, pre-AVX2 silicon
 ///     — runs scalar ("scalar").
 /// Both tables produce bit-identical outputs for every input (asserted by
@@ -58,8 +63,8 @@ const char* ActivePathName();
 /// silicon.
 std::string CpuFeatureString();
 
-/// The three span kernels the sort engine dispatches. All pointers are
-/// always non-null; tail elements past the widest vector multiple are
+/// The span kernels the sort engine and the wire CRC dispatch. All pointers
+/// are always non-null; tail elements past the widest vector multiple are
 /// handled inside each kernel, so callers never mind n % 4 or alignment
 /// (kernels use unaligned loads — spans come from Buffer storage and
 /// arbitrary user batches).
@@ -85,6 +90,16 @@ struct SortKernelOps {
   /// table treatment as transform_and_histogram.
   void (*histogram)(const std::uint64_t* keys, std::size_t n,
                     std::size_t (*hist)[256]);
+
+  /// Advances a reflected CRC-32 register (IEEE 802.3, polynomial
+  /// 0xEDB88320) over data[0, n) and returns it; the caller applies the
+  /// initial and final inversion (server::Crc32). The scalar kernel is the
+  /// byte-at-a-time table loop. The AVX2 table's kernel (util/crc_simd.cc)
+  /// folds 64-byte blocks with PCLMULQDQ and hands inputs under 64 bytes
+  /// and the last n % 16 bytes to the table loop; it returns the same
+  /// register for every input. `data` may be null when n == 0.
+  std::uint32_t (*crc32_update)(std::uint32_t crc, const std::uint8_t* data,
+                                std::size_t n);
 };
 
 /// The table ActivePath() selected. First call resolves the dispatch;
@@ -96,10 +111,17 @@ const SortKernelOps& ActiveSortKernels();
 /// "forced-scalar" run.
 const SortKernelOps& ScalarSortKernels();
 
-/// The AVX2 table, or nullptr when the host lacks AVX2 or this build could
-/// not compile it. Differential tests sweep it against the scalar table
-/// directly.
+/// The AVX2 table, or nullptr when the host lacks AVX2 or PCLMULQDQ or this
+/// build could not compile it. Differential tests sweep it against the
+/// scalar table directly.
 const SortKernelOps* Avx2SortKernelsOrNull();
+
+/// The AVX2 table's CRC kernel (util/crc_simd.cc). Runs PCLMULQDQ and
+/// SSE4.1 instructions: reach it only through Avx2SortKernelsOrNull(),
+/// which has checked cpuid. Builds that cannot target PCLMULQDQ compile it
+/// to the table loop.
+std::uint32_t Crc32UpdateClmul(std::uint32_t crc, const std::uint8_t* data,
+                               std::size_t n);
 
 /// Test hook: swap the active table (and the reported path) to `path`,
 /// returning the previous path so tests can restore it. CHECK-fails when

@@ -3,7 +3,8 @@
 // nothing here may be called without the runtime cpuid check the dispatch
 // in util/simd.cc performs: every entry point below is reached exclusively
 // through Avx2SortKernelsOrNull(), which returns nullptr unless
-// __builtin_cpu_supports("avx2") said yes.
+// __builtin_cpu_supports("avx2") said yes (and "pclmul", for the CRC kernel
+// in util/crc_simd.cc that shares the table).
 //
 // When the toolchain cannot target AVX2 (non-x86, ancient compiler), the
 // whole file collapses to the nullptr stub at the bottom and the dispatch
@@ -173,11 +174,15 @@ constexpr SortKernelOps kAvx2Ops = {
     Avx2InverseKeys,
     Avx2TransformAndHistogram,
     Avx2Histogram,
+    Crc32UpdateClmul,
 };
 
-bool HostHasAvx2() {
+/// AVX2 for the sort kernels, PCLMULQDQ for the CRC fold that shares their
+/// table.
+bool HostHasAvx2AndPclmul() {
 #if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("pclmul") != 0;
 #else
   return false;
 #endif
@@ -186,7 +191,7 @@ bool HostHasAvx2() {
 }  // namespace
 
 const SortKernelOps* Avx2SortKernelsOrNull() {
-  return HostHasAvx2() ? &kAvx2Ops : nullptr;
+  return HostHasAvx2AndPclmul() ? &kAvx2Ops : nullptr;
 }
 
 }  // namespace simd

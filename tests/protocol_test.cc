@@ -1,7 +1,11 @@
-// Wire protocol round-trip and strictness tests (src/server/protocol.h).
+// Wire protocol round-trip and strictness tests (src/server/protocol.h),
+// plus the differential checks of the fast codec paths: the dispatched
+// CRC-32 against the byte-at-a-time table loop, the bulk-copy encoders
+// against per-value encoding, and the one-pass NaN scan at every position.
 
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -9,6 +13,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/random.h"
+#include "util/simd.h"
 
 namespace mrl {
 namespace server {
@@ -29,6 +35,189 @@ TEST(Crc32Test, MatchesKnownVectors) {
   EXPECT_EQ(Crc32(reinterpret_cast<const std::uint8_t*>(check), 9),
             0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+/// The byte-at-a-time table loop every CRC kernel must reproduce.
+std::uint32_t Crc32Reference(const std::uint8_t* data, std::size_t n) {
+  return ~simd::ScalarSortKernels().crc32_update(0xFFFFFFFFu, data, n);
+}
+
+/// Every CRC-32 entry point under test: the dispatched Crc32 and, when this
+/// host and build have it, the AVX2 table's PCLMULQDQ kernel called
+/// directly (so the fold is covered even when MRLQUANT_FORCE_SCALAR pins
+/// the dispatch to the table loop).
+void ExpectCrcMatchesReference(const std::uint8_t* data, std::size_t n) {
+  const std::uint32_t want = Crc32Reference(data, n);
+  ASSERT_EQ(Crc32(data, n), want) << "length " << n;
+  if (const simd::SortKernelOps* avx2 = simd::Avx2SortKernelsOrNull()) {
+    ASSERT_EQ(~avx2->crc32_update(0xFFFFFFFFu, data, n), want)
+        << "length " << n;
+  }
+}
+
+TEST(Crc32Test, DispatchedMatchesBytewiseAcrossLengthsAndOffsets) {
+  constexpr std::size_t kMaxLen = 1100;
+  constexpr std::size_t kMaxOffset = 15;
+  Random rng(7);
+  std::vector<std::uint8_t> random(kMaxLen + kMaxOffset);
+  for (std::uint8_t& b : random) {
+    b = static_cast<std::uint8_t>(rng.NextUint32());
+  }
+  const std::vector<std::uint8_t> zeros(kMaxLen + kMaxOffset, 0x00);
+  const std::vector<std::uint8_t> ones(kMaxLen + kMaxOffset, 0xFF);
+  for (const std::vector<std::uint8_t>* buf :
+       std::initializer_list<const std::vector<std::uint8_t>*>{
+           &random, &zeros, &ones}) {
+    for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      for (std::size_t n = 0; n <= kMaxLen; ++n) {
+        ExpectCrcMatchesReference(buf->data() + offset, n);
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, DispatchedMatchesBytewiseOnOneMiB) {
+  Random rng(11);
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  for (std::uint8_t& b : buf) {
+    b = static_cast<std::uint8_t>(rng.NextUint32());
+  }
+  ExpectCrcMatchesReference(buf.data(), buf.size());
+  ExpectCrcMatchesReference(buf.data() + 3, buf.size() - 7);
+}
+
+std::uint64_t BitsOf(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double FromBits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+constexpr std::uint64_t kQuietNan = 0x7FF8000000000000ull;
+constexpr std::uint64_t kSignalingNan = 0x7FF0000000000001ull;
+constexpr std::uint64_t kNegativeNan = 0xFFF8000000000123ull;
+
+/// Doubles whose bit patterns a byte-order or bulk-copy slip would garble:
+/// both zeros, both infinities, denormals, extremes, and NaN payloads.
+std::vector<Value> CodecPalette() {
+  return {
+      +0.0,
+      -0.0,
+      std::numeric_limits<Value>::infinity(),
+      -std::numeric_limits<Value>::infinity(),
+      std::numeric_limits<Value>::denorm_min(),
+      -std::numeric_limits<Value>::denorm_min(),
+      FromBits(0x000FFFFFFFFFFFFFull),  // largest denormal
+      std::numeric_limits<Value>::min(),
+      std::numeric_limits<Value>::max(),
+      std::numeric_limits<Value>::lowest(),
+      1.5,
+      -2.25,
+      FromBits(kQuietNan),
+      FromBits(kSignalingNan),
+      FromBits(kNegativeNan),
+      FromBits(0x7FFFFFFFFFFFFFFFull),
+  };
+}
+
+TEST(CodecTest, BulkEncodersMatchPerValueEncoding) {
+  const std::vector<Value> palette = CodecPalette();
+  for (std::size_t n = 0; n <= palette.size(); ++n) {
+    const std::span<const Value> values(palette.data(), n);
+
+    std::vector<std::uint8_t> want;
+    FrameBuilder add(MsgType::kAddBatch, &want);
+    add.PutName("t");
+    add.PutU64(n);
+    for (Value v : values) add.PutDouble(v);
+    add.Finish();
+    std::vector<std::uint8_t> got;
+    EncodeAddBatch("t", values, &got);
+    EXPECT_EQ(got, want) << "ADD_BATCH of " << n;
+
+    want.clear();
+    FrameBuilder multi(MsgType::kQueryMulti, &want);
+    multi.PutName("t");
+    multi.PutU64(n);
+    for (Value v : values) multi.PutDouble(v);
+    multi.Finish();
+    got.clear();
+    EncodeQueryMulti("t", values, &got);
+    EXPECT_EQ(got, want) << "QUERY_MULTI of " << n;
+
+    // The per-value wire bytes, spelled out: little-endian IEEE-754.
+    std::vector<std::uint8_t> le;
+    for (Value v : values) {
+      for (int b = 0; b < 8; ++b) le.push_back((BitsOf(v) >> (8 * b)) & 0xff);
+    }
+    got.clear();
+    EncodeQueryMultiOk(values, &got);
+    ASSERT_GE(got.size(), le.size());
+    EXPECT_TRUE(std::equal(le.begin(), le.end(), got.end() - le.size()))
+        << "QUERY_MULTI reply of " << n;
+  }
+}
+
+std::vector<std::uint8_t> LeBytes(const std::vector<std::uint64_t>& words) {
+  std::vector<std::uint8_t> out;
+  for (std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) out.push_back((w >> (8 * b)) & 0xff);
+  }
+  return out;
+}
+
+TEST(CodecTest, NanRejectedAtEveryPosition) {
+  // Everything but NaN passes: both zeros, both infinities, denormals.
+  const std::vector<std::uint64_t> fill = {
+      BitsOf(-0.0),
+      BitsOf(std::numeric_limits<double>::infinity()),
+      BitsOf(-std::numeric_limits<double>::infinity()),
+      BitsOf(0.0),
+      BitsOf(std::numeric_limits<double>::denorm_min()),
+      BitsOf(-1.0),
+      0x7FEFFFFFFFFFFFFFull,  // largest finite
+  };
+  for (std::size_t len = 1; len <= 67; ++len) {
+    std::vector<std::uint64_t> words(len);
+    for (std::size_t i = 0; i < len; ++i) words[i] = fill[i % fill.size()];
+
+    std::vector<double> out = {42.0};
+    std::vector<std::uint8_t> le = LeBytes(words);
+    ASSERT_TRUE(DecodeDoublesInto(le.data(), len, /*reject_nan=*/true, &out)
+                    .ok());
+    ASSERT_EQ(out.size(), len);
+    for (std::size_t i = 0; i < len; ++i) ASSERT_EQ(BitsOf(out[i]), words[i]);
+    ASSERT_TRUE(RejectNanLe(le.data(), len).ok());
+
+    for (std::uint64_t nan : {kQuietNan, kSignalingNan, kNegativeNan}) {
+      for (std::size_t pos = 0; pos < len; ++pos) {
+        std::vector<std::uint64_t> bad = words;
+        bad[pos] = nan;
+        le = LeBytes(bad);
+        out.assign(3, 1.0);
+        const Status decoded =
+            DecodeDoublesInto(le.data(), len, /*reject_nan=*/true, &out);
+        ASSERT_EQ(decoded.code(), StatusCode::kInvalidArgument)
+            << "len " << len << " pos " << pos;
+        EXPECT_EQ(decoded.message(), "NaN rejected at the protocol boundary");
+        EXPECT_TRUE(out.empty());
+        const Status scanned = RejectNanLe(le.data(), len);
+        ASSERT_EQ(scanned.code(), StatusCode::kInvalidArgument)
+            << "len " << len << " pos " << pos;
+        EXPECT_EQ(scanned.message(), decoded.message());
+        // Without reject_nan the NaN is copied bit for bit.
+        ASSERT_TRUE(
+            DecodeDoublesInto(le.data(), len, /*reject_nan=*/false, &out)
+                .ok());
+        ASSERT_EQ(BitsOf(out[pos]), nan);
+      }
+    }
+  }
 }
 
 TEST(TenantNameTest, Validation) {

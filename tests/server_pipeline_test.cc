@@ -9,12 +9,15 @@
 // pipelining contract of docs/wire_protocol.md (responses per connection
 // in request order); the slow-reader tests pin the per-connection
 // write-buffer cap behavior: a graceful ResourceExhausted ERROR response
-// followed by close, never unbounded buffering.
+// followed by close, never unbounded buffering. The Conn tests at the end
+// pin the per-turn read budget on a socketpair, without a server.
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +29,7 @@
 
 #include "gtest/gtest.h"
 #include "server/client.h"
+#include "server/conn.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "util/random.h"
@@ -219,6 +223,39 @@ TEST_F(ServerPipelineTest, MultipleFramesPerReadAnswerInOrder) {
   ::close(fd);
 }
 
+// A burst several read budgets long, followed by a half-close: the shard
+// reads it over several turns, answers every frame in order, and only then
+// sees the EOF and closes.
+TEST_F(ServerPipelineTest, HalfCloseAfterBurstAnswersEveryFrame) {
+  StartServer();
+  const int fd = ConnectRaw();
+
+  constexpr int kBatches = 40;
+  std::vector<std::uint8_t> wire;
+  EncodeCreateSketch("halfclose", TenantConfig{}, &wire);
+  for (int i = 0; i < kBatches; ++i) {
+    EncodeAddBatch("halfclose", UniformStream(256, i), &wire);
+  }
+  ASSERT_GT(wire.size(), 4 * Conn::kReadBudget);
+  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  Reply reply;
+  ASSERT_TRUE(ReadReply(fd, &reply));
+  EXPECT_EQ(reply.request_type, MsgType::kCreateSketch);
+  EXPECT_EQ(reply.code, StatusCode::kOk) << reply.message;
+  for (int i = 0; i < kBatches; ++i) {
+    ASSERT_TRUE(ReadReply(fd, &reply)) << "reply " << i;
+    ASSERT_EQ(reply.code, StatusCode::kOk) << reply.message;
+    ASSERT_EQ(reply.body.size(), 8u);
+    std::uint64_t count = 0;
+    std::memcpy(&count, reply.body.data(), 8);
+    EXPECT_EQ(count, 256u * (static_cast<std::uint64_t>(i) + 1));
+  }
+  EXPECT_FALSE(ReadReply(fd, &reply));  // EOF after the last reply
+  ::close(fd);
+}
+
 // The Client pipelining API end to end: one flush carries CREATE + many
 // ADD_BATCH + QUERY, and the replies come back positionally.
 TEST_F(ServerPipelineTest, ClientPipelineRepliesMatchRequests) {
@@ -390,6 +427,109 @@ TEST_F(ServerPipelineTest, SlowReaderHitsWriteBufferCap) {
   Result<Client> connected = Client::ConnectUnix(uds_path_);
   ASSERT_TRUE(connected.ok());
   EXPECT_TRUE(connected.value().Query("slow", 0.5).ok());
+}
+
+/// A connected AF_UNIX stream pair: [0] wrapped in a nonblocking Conn,
+/// [1] written to by the test (blocking; the bursts below fit the socket
+/// buffer).
+struct ConnPair {
+  ConnPair() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    EXPECT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+    conn = std::make_unique<Conn>(fds[0], /*write_buffer_cap=*/0);
+    peer = fds[1];
+  }
+  ~ConnPair() {
+    if (peer >= 0) ::close(peer);
+  }
+  void Send(const std::vector<std::uint8_t>& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t w = ::send(peer, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(w, 0) << std::strerror(errno);
+      sent += static_cast<std::size_t>(w);
+    }
+  }
+  std::unique_ptr<Conn> conn;
+  int peer = -1;
+};
+
+// A pipelined burst is read a budget at a time: one FillFromSocket takes
+// kReadBudget bytes, then only the rest of the frame it stopped in, plus
+// one byte that shows more input is waiting (kMore). The call that drains
+// the socket returns kOk.
+TEST(ConnReadBudgetTest, OneFillTakesAtMostTheBudget) {
+  ConnPair pair;
+  constexpr int kFrames = 24;
+  std::vector<std::uint8_t> frame;
+  EncodeAddBatch("burst", UniformStream(300, 9), &frame);
+  ASSERT_LT(frame.size(), Conn::kReadBudget);
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < kFrames; ++i) {
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_GT(burst.size(), 3 * Conn::kReadBudget);
+  pair.Send(burst);
+
+  std::vector<std::uint8_t> received;
+  int turns = 0;
+  for (;;) {
+    const std::size_t before = pair.conn->available();
+    const Conn::IoResult io = pair.conn->FillFromSocket();
+    const std::size_t read = pair.conn->available() - before;
+    if (io == Conn::IoResult::kOk) break;
+    ASSERT_EQ(io, Conn::IoResult::kMore) << "turn " << turns;
+    EXPECT_GT(read, Conn::kReadBudget) << "turn " << turns;
+    EXPECT_LE(read, Conn::kReadBudget + frame.size() + 1) << "turn " << turns;
+    // It stopped one byte into the frame after the one it finished.
+    ASSERT_EQ(pair.conn->available() % frame.size(), 1u) << "turn " << turns;
+    // Consume whole frames, as the shard does; the extra byte stays.
+    const std::size_t whole = pair.conn->available() - 1;
+    received.insert(received.end(), pair.conn->data(),
+                    pair.conn->data() + whole);
+    pair.conn->Consume(whole);
+    ++turns;
+  }
+  EXPECT_GT(turns, 3);
+  received.insert(received.end(), pair.conn->data(),
+                  pair.conn->data() + pair.conn->available());
+  pair.conn->Consume(pair.conn->available());
+  EXPECT_EQ(received, burst);
+
+  // Drained: another turn reads nothing; a half-close reads as EOF.
+  ASSERT_EQ(pair.conn->FillFromSocket(), Conn::IoResult::kOk);
+  EXPECT_EQ(pair.conn->available(), 0u);
+  ASSERT_EQ(::shutdown(pair.peer, SHUT_WR), 0);
+  EXPECT_EQ(pair.conn->FillFromSocket(), Conn::IoResult::kEof);
+}
+
+// A frame larger than the budget is read whole in one turn (its length
+// prefix, read within the budget, extends the turn to the frame's end), and
+// the turn stops one byte into the next frame rather than reading it too.
+// A frame that ends the input ends the turn with kOk: nothing is waiting.
+TEST(ConnReadBudgetTest, LargeFrameIsReadInOneTurn) {
+  ConnPair pair;
+  std::vector<std::uint8_t> big;
+  EncodeAddBatch("big", UniformStream(8192, 4), &big);
+  ASSERT_GT(big.size(), 4 * Conn::kReadBudget);
+  std::vector<std::uint8_t> wire = big;
+  EncodePing(&wire);
+  pair.Send(wire);
+
+  ASSERT_EQ(pair.conn->FillFromSocket(), Conn::IoResult::kMore);
+  ASSERT_EQ(pair.conn->available(), big.size() + 1);
+  EXPECT_TRUE(std::equal(big.begin(), big.end(), pair.conn->data()));
+  pair.conn->Consume(big.size());
+
+  ASSERT_EQ(pair.conn->FillFromSocket(), Conn::IoResult::kOk);
+  EXPECT_EQ(pair.conn->available(), wire.size() - big.size());
+  pair.conn->Consume(pair.conn->available());
+
+  pair.Send(big);
+  ASSERT_EQ(pair.conn->FillFromSocket(), Conn::IoResult::kOk);
+  EXPECT_EQ(pair.conn->available(), big.size());
 }
 
 }  // namespace
