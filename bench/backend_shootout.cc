@@ -18,7 +18,6 @@
 #include "core/det_reservoir.h"
 #include "core/estimator.h"
 #include "core/kll.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "stream/generator.h"
 
@@ -45,15 +44,6 @@ std::vector<Contender> Contenders() {
     options.seed = 2;
     return std::unique_ptr<QuantileEstimator>(new mrl::UnknownNSketch(
         std::move(mrl::UnknownNSketch::Create(options)).value()));
-  }});
-  list.push_back({"mrl99_sharded4", [] {
-    mrl::ShardedQuantileSketch::Options options;
-    options.eps = kEps;
-    options.delta = kDelta;
-    options.num_shards = 4;
-    options.seed = 2;
-    return std::unique_ptr<QuantileEstimator>(new mrl::ShardedQuantileSketch(
-        std::move(mrl::ShardedQuantileSketch::Create(options)).value()));
   }});
   list.push_back({"kll", [] {
     mrl::KllOptions options;

@@ -57,7 +57,14 @@ void ExerciseFrame(const mrl::server::FrameView& frame) {
     case MsgType::kSnapshot:
     case MsgType::kDelete:
     case MsgType::kStats:
+    case MsgType::kFetchSummary:
       (void)mrl::server::DecodeNameRequest(frame.type, payload, len);
+      break;
+    case MsgType::kPing:
+      (void)mrl::server::DecodePing(payload, len);
+      break;
+    case MsgType::kRestore:
+      (void)mrl::server::DecodeRestore(payload, len);
       break;
     case MsgType::kResponse: {
       mrl::Result<mrl::server::ResponseView> response =
@@ -72,6 +79,7 @@ void ExerciseFrame(const mrl::server::FrameView& frame) {
         (void)mrl::server::DecodeQueryMultiOk(response.value(), &values);
         (void)mrl::server::DecodeSnapshotOk(response.value(), &blob);
         (void)mrl::server::DecodeStatsOk(response.value());
+        (void)mrl::server::DecodeFetchSummaryOk(response.value(), &blob);
       }
       break;
     }

@@ -41,16 +41,6 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::vector<std::uint8_t> wire;
 
-  TenantConfig sharded;
-  sharded.kind = SketchKind::kSharded;
-  sharded.eps = 0.02;
-  sharded.delta = 1e-3;
-  sharded.num_shards = 8;
-  sharded.seed = 42;
-  EncodeCreateSketch("tenant-a", sharded, &wire);
-  ok = WriteFile(dir, "create_sharded", wire) && ok;
-
-  wire.clear();
   EncodeCreateSketch("t", TenantConfig{}, &wire);
   ok = WriteFile(dir, "create_default", wire) && ok;
 
@@ -136,11 +126,24 @@ int main(int argc, char** argv) {
   stats.num_tenants = 2;
   stats.total_count = 1000000;
   stats.tenant_present = true;
-  stats.tenant_kind = SketchKind::kSharded;
+  stats.tenant_kind = SketchKind::kKll;
   stats.tenant_count = 600000;
   stats.tenant_memory_elements = 4096;
   EncodeStatsOk(stats, &wire);
-  ok = WriteFile(dir, "response_stats", wire) && ok;
+  ok = WriteFile(dir, "response_stats_kll", wire) && ok;
+
+  // Protocol v3: the router/backend ops.
+  wire.clear();
+  EncodePing(&wire);
+  ok = WriteFile(dir, "ping", wire) && ok;
+
+  wire.clear();
+  EncodeNameRequest(MsgType::kFetchSummary, "tenant-a", &wire);
+  ok = WriteFile(dir, "fetch_summary", wire) && ok;
+
+  wire.clear();
+  EncodeRestore("tenant-r", reservoir, blob, &wire);
+  ok = WriteFile(dir, "restore", wire) && ok;
 
   // A two-frame stream exercises the framing advance in the harness.
   wire.clear();

@@ -82,7 +82,10 @@ Result<UnknownNParams> SolveUnknownN(double eps, double delta,
       const double disc = bq * bq - 4.0 * c2 * c2;
       MRL_DCHECK_GE(disc, 0.0);
       const double alpha = 2.0 * c2 / (bq + std::sqrt(disc));
-      MRL_DCHECK(alpha > 0.0 && alpha < 1.0);
+      // For large (b, h) the leaf counts saturate, c1 vanishes next to c2
+      // and alpha rounds to exactly 1: no sampling budget is left, so k is
+      // unbounded. Such a candidate can never win.
+      if (!(alpha < 1.0)) continue;
       const double k_real = std::max(c1 / ((1.0 - alpha) * (1.0 - alpha)),
                                      c2 / alpha);
       if (!(k_real < static_cast<double>(kMaxK))) continue;
@@ -102,6 +105,7 @@ Result<UnknownNParams> SolveUnknownN(double eps, double delta,
     return Status::ResourceExhausted(
         "no feasible (b, k, h) within search bounds");
   }
+  MRL_DCHECK(best.alpha > 0.0 && best.alpha < 1.0) << "alpha=" << best.alpha;
   return best;
 }
 

@@ -2,75 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "util/logging.h"
 #include "util/sort.h"
 
 namespace mrl {
 
-void QuantileSummary::AccumulateInto(SummaryScratch* scratch,
-                                     std::vector<Entry>* entries) {
+QuantileSummary QuantileSummary::FromRuns(
+    const std::vector<WeightedRun>& runs) {
   // (value, weight) is exactly the engine's KeyedPayload record; the
   // stable radix sort keeps equal values in insertion order, and the
   // coalescing below sums their weights either way.
-  static_assert(std::is_same_v<std::pair<Value, Weight>, KeyedPayload>);
-  SortPairs(scratch->weighted.data(), scratch->weighted.size());
-  entries->clear();
-  Weight cum = 0;
-  for (const auto& [value, weight] : scratch->weighted) {
-    cum += weight;
-    if (!entries->empty() && entries->back().value == value) {
-      entries->back().cumulative_weight = cum;  // coalesce duplicates
-    } else {
-      entries->push_back({value, cum});
-    }
-  }
-}
-
-void QuantileSummary::FromRunsInto(const std::vector<WeightedRun>& runs,
-                                   SummaryScratch* scratch,
-                                   QuantileSummary* out) {
-  scratch->weighted.clear();
+  std::vector<KeyedPayload> weighted;
   for (const WeightedRun& run : runs) {
     for (std::size_t i = 0; i < run.size; ++i) {
-      scratch->weighted.emplace_back(run.data[i], run.weight);
+      weighted.emplace_back(run.data[i], run.weight);
     }
   }
-  AccumulateInto(scratch, &out->entries_);
-}
-
-QuantileSummary QuantileSummary::FromRuns(
-    const std::vector<WeightedRun>& runs) {
-  SummaryScratch scratch;
-  QuantileSummary out;
-  FromRunsInto(runs, &scratch, &out);
-  return out;
-}
-
-void QuantileSummary::MergeInto(
-    const std::vector<const QuantileSummary*>& parts,
-    SummaryScratch* scratch, QuantileSummary* out) {
-  // Decompose each summary back into (value, weight) deltas, merge-sort,
-  // and re-accumulate.
-  scratch->weighted.clear();
-  for (const QuantileSummary* part : parts) {
-    MRL_CHECK(part != nullptr);
-    Weight prev = 0;
-    for (const Entry& e : part->entries_) {
-      scratch->weighted.emplace_back(e.value, e.cumulative_weight - prev);
-      prev = e.cumulative_weight;
+  SortPairs(weighted.data(), weighted.size());
+  std::vector<Entry> entries;
+  Weight cum = 0;
+  for (const auto& [value, weight] : weighted) {
+    cum += weight;
+    if (!entries.empty() && entries.back().value == value) {
+      entries.back().cumulative_weight = cum;  // coalesce duplicates
+    } else {
+      entries.push_back({value, cum});
     }
   }
-  AccumulateInto(scratch, &out->entries_);
-}
-
-QuantileSummary QuantileSummary::Merge(
-    const std::vector<const QuantileSummary*>& parts) {
-  SummaryScratch scratch;
-  QuantileSummary out;
-  MergeInto(parts, &scratch, &out);
-  return out;
+  return QuantileSummary(std::move(entries));
 }
 
 Result<Value> QuantileSummary::Quantile(double phi) const {

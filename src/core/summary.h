@@ -12,13 +12,6 @@
 
 namespace mrl {
 
-/// Reusable staging area for summary construction: the flattened
-/// (value, weight) pairs awaiting sort. Recycled across calls so repeated
-/// exports/merges reuse one allocation.
-struct SummaryScratch {
-  std::vector<std::pair<Value, Weight>> weighted;
-};
-
 /// An immutable snapshot of a sketch's distribution estimate: distinct
 /// values ascending, each with the cumulative weight of everything <= it.
 /// This is the "synopsis data structure" view (Section 1.5, [GM98]): a
@@ -39,23 +32,6 @@ class QuantileSummary {
   /// Builds a summary from weighted runs (each sorted ascending). Equal
   /// values are coalesced.
   static QuantileSummary FromRuns(const std::vector<WeightedRun>& runs);
-
-  /// As FromRuns, but writes into *out and stages through *scratch so both
-  /// reuse their capacity across calls.
-  static void FromRunsInto(const std::vector<WeightedRun>& runs,
-                           SummaryScratch* scratch, QuantileSummary* out);
-
-  /// Merges summaries over disjoint data into one over the union: the
-  /// weighted multisets simply add, so rank errors add too — merging P
-  /// shard summaries that are each eps-approximate for their shard yields
-  /// an eps-approximate summary for the union. This is how sharded scans
-  /// combine results when shipping a summary is preferable to the Section
-  /// 6 buffer protocol.
-  static QuantileSummary Merge(const std::vector<const QuantileSummary*>& parts);
-
-  /// As Merge, into caller-provided scratch and output (capacity reused).
-  static void MergeInto(const std::vector<const QuantileSummary*>& parts,
-                        SummaryScratch* scratch, QuantileSummary* out);
 
   QuantileSummary() = default;
 
@@ -86,11 +62,6 @@ class QuantileSummary {
  private:
   explicit QuantileSummary(std::vector<Entry> entries)
       : entries_(std::move(entries)) {}
-
-  /// Sorts scratch->weighted by value and re-accumulates it into *entries
-  /// (cleared first), coalescing duplicates.
-  static void AccumulateInto(SummaryScratch* scratch,
-                             std::vector<Entry>* entries);
 
   std::vector<Entry> entries_;
 };

@@ -222,16 +222,9 @@ Result<double> UnknownNSketch::RankOf(Value v) const {
 }
 
 QuantileSummary UnknownNSketch::ExportSummary() const {
-  QuantileSummary out;
-  ExportSummaryInto(&out);
-  return out;
-}
-
-void UnknownNSketch::ExportSummaryInto(QuantileSummary* out) const {
   thread_local RunSnapshot snap;
-  thread_local SummaryScratch scratch;
   SnapshotInto(&snap);
-  QuantileSummary::FromRunsInto(snap.runs, &scratch, out);
+  return QuantileSummary::FromRuns(snap.runs);
 }
 
 Weight UnknownNSketch::HeldWeight() const {

@@ -119,11 +119,6 @@ class UnknownNSketch : public QuantileEstimator {
   /// O(log b*k) without touching the live sketch.
   QuantileSummary ExportSummary() const;
 
-  /// As ExportSummary, into *out (reusing its capacity); intermediates come
-  /// from thread-local scratch, so repeated exports allocate nothing once
-  /// warmed. Powers ShardedQuantileSketch's per-call summary reuse.
-  void ExportSummaryInto(QuantileSummary* out) const;
-
   const UnknownNParams& params() const { return params_; }
 
   /// Current block-sampling rate r (1 until the tree reaches height h,

@@ -108,16 +108,13 @@ Status RequireAtEnd(const BinaryReader& reader) {
 /// CREATE_SKETCH and RESTORE.
 Status GetConfig(BinaryReader* reader, TenantConfig* config) {
   std::uint8_t kind;
-  std::uint32_t num_shards;
+  std::uint32_t reserved;
   if (!reader->GetU8(&kind) || !reader->GetDouble(&config->eps) ||
-      !reader->GetDouble(&config->delta) || !reader->GetU32(&num_shards) ||
+      !reader->GetDouble(&config->delta) || !reader->GetU32(&reserved) ||
       !reader->GetU64(&config->seed)) {
     return reader->status();
   }
-  if (!IsKnownSketchKind(kind)) {
-    return Status::InvalidArgument("unknown sketch kind " +
-                                   std::to_string(kind));
-  }
+  MRL_RETURN_IF_ERROR(CheckSketchKind(kind));
   config->kind = static_cast<SketchKind>(kind);
   if (!std::isfinite(config->eps) || config->eps <= 0 || config->eps > 0.5) {
     return Status::InvalidArgument("eps must be in (0, 0.5]");
@@ -126,10 +123,9 @@ Status GetConfig(BinaryReader* reader, TenantConfig* config) {
       config->delta >= 1) {
     return Status::InvalidArgument("delta must be in (0, 1)");
   }
-  if (num_shards < 1 || num_shards > 1024) {
-    return Status::InvalidArgument("num_shards must be in [1, 1024]");
+  if (reserved < 1 || reserved > kMaxReservedSlot) {
+    return Status::InvalidArgument("reserved field must be in [1, 1024]");
   }
-  config->num_shards = static_cast<std::int32_t>(num_shards);
   return Status::OK();
 }
 
@@ -141,15 +137,27 @@ bool IsKnownMsgType(std::uint8_t type) {
 }
 
 bool IsKnownSketchKind(std::uint8_t kind) {
-  return kind <= static_cast<std::uint8_t>(SketchKind::kDetReservoir);
+  for (SketchKind known : kSketchKinds) {
+    if (kind == static_cast<std::uint8_t>(known)) return true;
+  }
+  return false;
+}
+
+Status CheckSketchKind(std::uint8_t kind) {
+  if (IsKnownSketchKind(kind)) return Status::OK();
+  if (kind == kRetiredShardedKind) {
+    return Status::InvalidArgument(
+        "sketch kind 1 (sharded) was removed; create the tenant as "
+        "unknown_n");
+  }
+  return Status::InvalidArgument("unknown sketch kind " +
+                                 std::to_string(kind));
 }
 
 std::string_view SketchKindName(SketchKind kind) {
   switch (kind) {
     case SketchKind::kUnknownN:
       return "unknown_n";
-    case SketchKind::kSharded:
-      return "sharded";
     case SketchKind::kKll:
       return "kll";
     case SketchKind::kDetReservoir:
@@ -292,7 +300,7 @@ void EncodeCreateSketch(std::string_view name, const TenantConfig& config,
   frame.PutU8(static_cast<std::uint8_t>(config.kind));
   frame.PutDouble(config.eps);
   frame.PutDouble(config.delta);
-  frame.PutU32(static_cast<std::uint32_t>(config.num_shards));
+  frame.PutU32(kReservedSlotValue);
   frame.PutU64(config.seed);
   frame.Finish();
 }
@@ -354,7 +362,7 @@ void EncodeRestore(std::string_view name, const TenantConfig& config,
   frame.PutU8(static_cast<std::uint8_t>(config.kind));
   frame.PutDouble(config.eps);
   frame.PutDouble(config.delta);
-  frame.PutU32(static_cast<std::uint32_t>(config.num_shards));
+  frame.PutU32(kReservedSlotValue);
   frame.PutU64(config.seed);
   frame.PutU32(static_cast<std::uint32_t>(blob.size()));
   frame.PutBytes(blob.data(), blob.size());
@@ -694,9 +702,10 @@ Result<StatsReply> DecodeStatsOk(const ResponseView& response) {
     return reader.status();
   }
   MRL_RETURN_IF_ERROR(RequireAtEnd(reader));
-  if (present > 1 || !IsKnownSketchKind(kind)) {
+  if (present > 1) {
     return Status::InvalidArgument("STATS reply fields out of range");
   }
+  MRL_RETURN_IF_ERROR(CheckSketchKind(kind));
   stats.tenant_present = present != 0;
   stats.tenant_kind = static_cast<SketchKind>(kind);
   return stats;

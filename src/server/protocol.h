@@ -26,7 +26,8 @@ namespace server {
 /// oversized length, or a CRC mismatch reject the frame with a Status —
 /// never a crash — which is what makes it safe to fuzz and to expose to
 /// untrusted peers (fuzz/fuzz_protocol_decode.cc).
-/// Version history: 1 = initial protocol (kinds unknown-n, sharded);
+/// Version history: 1 = initial protocol (kinds unknown-n, sharded; the
+/// sharded kind has since been retired without a version bump);
 /// 2 = pluggable backends (CREATE_SKETCH/STATS gained the kll and
 /// det_reservoir kinds); 3 = distributed tier (PING health probe,
 /// FETCH_SUMMARY partial-summary export, RESTORE tenant install — the
@@ -71,23 +72,47 @@ std::uint32_t Crc32(const std::uint8_t* data, std::size_t n);
 bool IsValidTenantName(std::string_view name);
 
 /// Which sketch backs a tenant (CREATE_SKETCH `kind` field).
+///
+/// Kind byte 1 is retired and must never be reused: it was the `sharded`
+/// kind (one tenant round-robined over several sketches inside one shard
+/// thread), removed without a protocol or checkpoint version bump, so old
+/// peers and files may still carry it. CheckSketchKind refuses it and
+/// points at `unknown_n`, which replaces it.
 enum class SketchKind : std::uint8_t {
-  kUnknownN = 0,      ///< single UnknownNSketch (single-writer tenants)
-  kSharded = 1,       ///< ShardedQuantileSketch (round-robin ingestion)
+  kUnknownN = 0,      ///< single UnknownNSketch
   kKll = 2,           ///< KllSketch (protocol v2)
   kDetReservoir = 3,  ///< DeterministicReservoirSketch (protocol v2)
 };
 
-/// The single validator for kind bytes arriving from the outside — the
-/// CREATE_SKETCH decoder, the STATS reply decoder and the registry
-/// checkpoint decoder all call it, so adding a backend extends exactly one
-/// check. Unknown bytes must produce a clean Status, never a crash.
+/// Every live kind, in byte order.
+inline constexpr SketchKind kSketchKinds[] = {
+    SketchKind::kUnknownN, SketchKind::kKll, SketchKind::kDetReservoir};
+
+/// The retired `sharded` kind byte (see SketchKind).
+inline constexpr std::uint8_t kRetiredShardedKind = 1;
+
+/// True for the kinds in kSketchKinds.
 bool IsKnownSketchKind(std::uint8_t kind);
 
-/// Display name of a kind ("unknown_n", "sharded", "kll", "det_reservoir";
-/// "invalid" for out-of-range values). Used in server error text and the
-/// CLI stats output.
+/// The single validator for kind bytes arriving from the outside — the
+/// CREATE_SKETCH/RESTORE decoders, the STATS reply decoder and the registry
+/// checkpoint decoder all call it, so adding a backend extends exactly one
+/// check. OK for a known kind; InvalidArgument otherwise, with a message
+/// naming the removed sharded kind for byte 1. Never a crash.
+Status CheckSketchKind(std::uint8_t kind);
+
+/// Display name of a kind ("unknown_n", "kll", "det_reservoir"; "invalid"
+/// for any other value). Used in server error text and the CLI stats
+/// output.
 std::string_view SketchKindName(SketchKind kind);
+
+/// The value encoders write into the reserved u32 slot of CREATE_SKETCH and
+/// RESTORE (and the i32 slot of a registry checkpoint's tenant record),
+/// which once held the sharded kind's shard count. Decoders still range-check
+/// the slot against [1, kMaxReservedSlot] — it is input from outside — and
+/// otherwise ignore it.
+inline constexpr std::uint32_t kReservedSlotValue = 1;
+inline constexpr std::uint32_t kMaxReservedSlot = 1024;
 
 /// Tenant configuration carried by CREATE_SKETCH and persisted in registry
 /// checkpoints.
@@ -95,13 +120,12 @@ struct TenantConfig {
   SketchKind kind = SketchKind::kUnknownN;
   double eps = 0.01;
   double delta = 1e-4;
-  std::int32_t num_shards = 4;  ///< kSharded only
   std::uint64_t seed = 1;
 };
 
 inline bool operator==(const TenantConfig& a, const TenantConfig& b) {
   return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta &&
-         a.num_shards == b.num_shards && a.seed == b.seed;
+         a.seed == b.seed;
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 
 #include "core/det_reservoir.h"
 #include "core/kll.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -78,17 +77,13 @@ Status ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out,
 }
 
 Status ValidateConfig(const TenantConfig& config) {
-  if (!IsKnownSketchKind(static_cast<std::uint8_t>(config.kind))) {
-    return Status::InvalidArgument("unknown sketch kind");
-  }
+  MRL_RETURN_IF_ERROR(
+      CheckSketchKind(static_cast<std::uint8_t>(config.kind)));
   if (!(config.eps > 0) || config.eps > 0.5) {
     return Status::InvalidArgument("eps must be in (0, 0.5]");
   }
   if (!(config.delta > 0) || config.delta >= 1) {
     return Status::InvalidArgument("delta must be in (0, 1)");
-  }
-  if (config.num_shards < 1 || config.num_shards > 1024) {
-    return Status::InvalidArgument("num_shards must be in [1, 1024]");
   }
   return Status::OK();
 }
@@ -96,29 +91,39 @@ Status ValidateConfig(const TenantConfig& config) {
 /// Structural equality for recycling: a pooled sketch can serve any config
 /// that solves to the same shape; the seed is replayed by Reset(seed).
 bool StructurallyEqual(const TenantConfig& a, const TenantConfig& b) {
-  return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta &&
-         (a.kind != SketchKind::kSharded || a.num_shards == b.num_shards);
+  return a.kind == b.kind && a.eps == b.eps && a.delta == b.delta;
 }
 
 void EncodeConfig(const TenantConfig& config, BinaryWriter* writer) {
   writer->PutU8(static_cast<std::uint8_t>(config.kind));
   writer->PutDouble(config.eps);
   writer->PutDouble(config.delta);
-  writer->PutI32(config.num_shards);
+  writer->PutI32(static_cast<std::int32_t>(kReservedSlotValue));
   writer->PutU64(config.seed);
 }
 
-Status DecodeConfig(BinaryReader* reader, TenantConfig* config) {
+/// Decodes the config of the tenant record for `name`. A bad kind byte —
+/// the retired sharded kind included — is refused naming the tenant: the
+/// whole file is, since recovery installs all tenants or none.
+Status DecodeConfig(std::string_view name, BinaryReader* reader,
+                    TenantConfig* config) {
   std::uint8_t kind;
+  std::int32_t reserved;
   if (!reader->GetU8(&kind) || !reader->GetDouble(&config->eps) ||
-      !reader->GetDouble(&config->delta) ||
-      !reader->GetI32(&config->num_shards) ||
+      !reader->GetDouble(&config->delta) || !reader->GetI32(&reserved) ||
       !reader->GetU64(&config->seed)) {
     return reader->status();
   }
-  if (!IsKnownSketchKind(kind)) {
-    return Status::InvalidArgument("checkpoint: unknown sketch kind " +
-                                   std::to_string(kind));
+  const Status known = CheckSketchKind(kind);
+  if (!known.ok()) {
+    return Status::InvalidArgument("registry checkpoint: tenant '" +
+                                   std::string(name) + "': " +
+                                   known.message());
+  }
+  if (reserved < 1 ||
+      reserved > static_cast<std::int32_t>(kMaxReservedSlot)) {
+    return Status::InvalidArgument(
+        "registry checkpoint: reserved field must be in [1, 1024]");
   }
   config->kind = static_cast<SketchKind>(kind);
   return ValidateConfig(*config);
@@ -178,18 +183,6 @@ Result<std::unique_ptr<QuantileEstimator>> SketchRegistry::MakeSketch(
       if (!sketch.ok()) return sketch.status();
       return std::unique_ptr<QuantileEstimator>(
           new UnknownNSketch(std::move(sketch).value()));
-    }
-    case SketchKind::kSharded: {
-      ShardedQuantileSketch::Options opts;
-      opts.eps = config.eps;
-      opts.delta = config.delta;
-      opts.num_shards = config.num_shards;
-      opts.seed = config.seed;
-      Result<ShardedQuantileSketch> sketch =
-          ShardedQuantileSketch::Create(opts);
-      if (!sketch.ok()) return sketch.status();
-      return std::unique_ptr<QuantileEstimator>(
-          new ShardedQuantileSketch(std::move(sketch).value()));
     }
     case SketchKind::kKll: {
       KllOptions opts;
@@ -658,7 +651,7 @@ Status SketchRegistry::RecoverFromDisk() {
       return Status::InvalidArgument("registry checkpoint: bad tenant name");
     }
     TenantConfig config;
-    MRL_RETURN_IF_ERROR(DecodeConfig(&reader, &config));
+    MRL_RETURN_IF_ERROR(DecodeConfig(name, &reader, &config));
     Result<std::unique_ptr<QuantileEstimator>> sketch =
         DecodeTenantSketch(config, &reader);
     if (!sketch.ok()) return sketch.status();

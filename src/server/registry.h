@@ -111,9 +111,8 @@ class SketchRegistry {
   /// InvalidArgument on a bad name or config.
   Status Create(std::string_view name, const TenantConfig& config);
 
-  /// Ingests a batch into tenant `name` (round-robin across shards for
-  /// kSharded tenants) and returns the tenant's element count after the
-  /// batch. Steady state performs no heap allocation.
+  /// Ingests a batch into tenant `name` and returns the tenant's element
+  /// count after the batch. Steady state performs no heap allocation.
   MRLQUANT_HOT Result<std::uint64_t> AddBatch(std::string_view name,
                                               std::span<const Value> values);
 

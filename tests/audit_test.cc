@@ -45,12 +45,18 @@ TEST(CheckBufferTest, AcceptsLegalStates) {
 
 TEST(CheckBufferTest, RejectsUnsortedFullBuffer) {
   Buffer b(4);
-  // AssignSorted trusts its caller in release builds; feed it a descending
-  // run to model a corrupted pool.
-  b.AssignSorted({4.0, 3.0, 2.0, 1.0}, 1, 0);
+  // A descending run models a corrupted pool. Builds with MRL_DCHECKs live
+  // stop it at the write (AssignSorted's sortedness precondition); release
+  // builds trust the caller, and the auditor must catch it afterwards.
+  const auto assign_descending = [&b] {
+    b.AssignSorted({4.0, 3.0, 2.0, 1.0}, 1, 0);
+  };
+  EXPECT_DEBUG_DEATH(assign_descending(), "is_sorted");
+#ifdef NDEBUG
   Status s = audit::CheckBuffer(b, 0);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("sorted"), std::string::npos) << s;
+#endif
 }
 
 TEST(CheckFrameworkTest, AcceptsFreshAndWorkedPools) {

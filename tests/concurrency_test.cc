@@ -2,8 +2,6 @@
 // -fsanitize=thread (the CI tsan lane). They exercise exactly the thread
 // contracts the headers document:
 //
-//  * ShardedQuantileSketch: shard s is single-writer; writers on distinct
-//    shards need no synchronization; queries happen after a barrier.
 //  * ParallelQuantiles / ParallelCoordinator: workers run on their own
 //    threads and never communicate until termination; the coordinator is
 //    externally synchronized.
@@ -15,17 +13,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
-#include "core/sharded.h"
 #include "core/unknown_n.h"
 #include "util/random.h"
 
@@ -52,59 +47,16 @@ std::vector<Value> ShardValues(int shard, std::uint64_t n) {
   return values;
 }
 
-TEST(ShardedConcurrencyTest, ParallelWritersDistinctShardsThenQuery) {
-  ShardedQuantileSketch::Options options;
-  options.eps = 0.02;
-  options.delta = 1e-3;
-  options.num_shards = kThreads;
-  Result<ShardedQuantileSketch> created =
-      ShardedQuantileSketch::Create(options);
-  ASSERT_TRUE(created.ok());
-  ShardedQuantileSketch& sketch = created.value();
-
-  // All writers finish ingesting before anyone reads: the documented scan
-  // barrier. The std::barrier also gives TSan a clear happens-before edge
-  // to validate the contract against.
-  std::barrier sync(kThreads + 1);
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int shard = 0; shard < kThreads; ++shard) {
-    writers.emplace_back([&sketch, &sync, shard] {
-      std::vector<Value> values = ShardValues(shard, kPerShard);
-      // Mix batch and per-element ingestion to cover both write paths.
-      std::size_t half = values.size() / 2;
-      sketch.AddBatch(shard,
-                      std::span<const Value>(values.data(), half));
-      for (std::size_t i = half; i < values.size(); ++i) {
-        sketch.Add(shard, values[i]);
-      }
-      sync.arrive_and_wait();
-    });
-  }
-  sync.arrive_and_wait();
-
-  const std::uint64_t total = kThreads * kPerShard;
-  EXPECT_EQ(sketch.count(), total);
-  Result<Value> median = sketch.Query(0.5);
-  ASSERT_TRUE(median.ok());
-  EXPECT_NEAR(median.value() / static_cast<double>(total), 0.5,
-              2.0 * options.eps);
-
-  for (std::thread& t : writers) t.join();
-}
-
-TEST(ShardedConcurrencyTest, ConcurrentConstQueriesOnQuiescentSketch) {
-  ShardedQuantileSketch::Options options;
+TEST(UnknownNConcurrencyTest, ConcurrentConstQueriesOnQuiescentSketch) {
+  UnknownNOptions options;
   options.eps = 0.05;
   options.delta = 1e-3;
-  options.num_shards = 2;
-  Result<ShardedQuantileSketch> created =
-      ShardedQuantileSketch::Create(options);
+  Result<UnknownNSketch> created = UnknownNSketch::Create(options);
   ASSERT_TRUE(created.ok());
-  ShardedQuantileSketch& sketch = created.value();
+  UnknownNSketch& sketch = created.value();
   for (int shard = 0; shard < 2; ++shard) {
     std::vector<Value> values = ShardValues(shard, 30000);
-    sketch.AddBatch(shard, values);
+    sketch.AddBatch(values);
   }
 
   std::atomic<int> failures{0};

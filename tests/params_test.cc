@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "core/params.h"
 #include "util/math.h"
 
@@ -94,6 +95,81 @@ TEST(UnknownNSolverTest, ExtraHeightCostsMemory) {
       SolveUnknownN(0.01, 1e-4, 6).value().MemoryElements();
   EXPECT_GE(taller, base);
   EXPECT_LT(taller, 2 * base);  // the parallel overhead is modest
+}
+
+// The solver's answers are part of the checkpoint contract (a restored
+// sketch re-solves its shape from eps/delta), so they are pinned exactly:
+// alpha to the last bit. Covers extra_height 0 (single sketch) and 4 (the
+// Section 6 worker default, SolveParallelWorker).
+struct SolvedShape {
+  double eps;
+  double delta;
+  int extra_height;
+  int b;
+  std::size_t k;
+  int h;
+  double alpha;
+};
+
+constexpr SolvedShape kPinnedShapes[] = {
+    {0.1, 0.01, 0, 4, 50, 5, 0x1.376d505ec613fp-1},
+    {0.1, 0.01, 4, 3, 93, 5, 0x1.1352b57062a31p-1},
+    {0.1, 0.0001, 0, 4, 58, 6, 0x1.375338d6ee717p-1},
+    {0.1, 0.0001, 4, 4, 82, 6, 0x1.57c791f261aa6p-1},
+    {0.1, 1e-06, 0, 4, 64, 6, 0x1.192bbb5bb91efp-1},
+    {0.1, 1e-06, 4, 4, 89, 6, 0x1.3c9a8e58c3e1p-1},
+    {0.05, 0.01, 0, 4, 118, 6, 0x1.32271bf809a44p-1},
+    {0.05, 0.01, 4, 4, 167, 6, 0x1.532a0afd9f6d6p-1},
+    {0.05, 0.0001, 0, 5, 112, 6, 0x1.40243fd4bdc69p-1},
+    {0.05, 0.0001, 4, 4, 192, 7, 0x1.414d41e5fc868p-1},
+    {0.05, 1e-06, 0, 5, 121, 7, 0x1.52e286726a83ep-1},
+    {0.05, 1e-06, 4, 4, 210, 8, 0x1.3d90ccd7d79bdp-1},
+    {0.02, 0.01, 0, 5, 297, 7, 0x1.591599fcaf2f7p-1},
+    {0.02, 0.01, 4, 4, 514, 7, 0x1.2b2f1dbee41c5p-1},
+    {0.02, 0.0001, 0, 5, 340, 8, 0x1.53330995940cdp-1},
+    {0.02, 0.0001, 4, 5, 459, 8, 0x1.6b37c20ef33ap-1},
+    {0.02, 1e-06, 0, 5, 370, 8, 0x1.378d3b402942fp-1},
+    {0.02, 1e-06, 4, 5, 492, 8, 0x1.523965a259a21p-1},
+    {0.01, 0.01, 0, 5, 689, 8, 0x1.4e7f62d45873dp-1},
+    {0.01, 0.01, 4, 5, 928, 8, 0x1.66ff06ce5b2aep-1},
+    {0.01, 0.0001, 0, 6, 652, 8, 0x1.616feb9a01d2ep-1},
+    {0.01, 0.0001, 4, 5, 1043, 9, 0x1.57c791f261aa9p-1},
+    {0.01, 1e-06, 0, 6, 699, 9, 0x1.6e8bed263debdp-1},
+    {0.01, 1e-06, 4, 6, 929, 9, 0x1.81dee28bcc26ep-1},
+    {0.005, 0.01, 0, 6, 1321, 8, 0x1.5d031916013d4p-1},
+    {0.005, 0.01, 4, 5, 2114, 9, 0x1.532a0afd9f6d5p-1},
+    {0.005, 0.0001, 0, 6, 1477, 9, 0x1.5ab66ffe31afap-1},
+    {0.005, 0.0001, 4, 6, 1948, 9, 0x1.7011970034499p-1},
+    {0.005, 1e-06, 0, 7, 1363, 9, 0x1.77abac400489p-1},
+    {0.005, 1e-06, 4, 6, 2060, 10, 0x1.74d5252bd5f26p-1},
+    {0.001, 0.01, 0, 7, 7492, 10, 0x1.77e78341a3dfap-1},
+    {0.001, 0.01, 4, 6, 11358, 11, 0x1.68a62ba8a086fp-1},
+    {0.001, 0.0001, 0, 7, 8260, 11, 0x1.73e9c7b5dc792p-1},
+    {0.001, 0.0001, 4, 7, 10555, 11, 0x1.8412d35f6396cp-1},
+    {0.001, 1e-06, 0, 8, 7695, 11, 0x1.8f4449060c99p-1},
+    {0.001, 1e-06, 4, 7, 11134, 12, 0x1.86e731bf08ae7p-1},
+};
+
+TEST(UnknownNSolverTest, PinnedShapes) {
+  for (const SolvedShape& want : kPinnedShapes) {
+    Result<UnknownNParams> got =
+        SolveUnknownN(want.eps, want.delta, want.extra_height);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got.value().b, want.b) << want.eps << " " << want.delta;
+    EXPECT_EQ(got.value().k, want.k) << want.eps << " " << want.delta;
+    EXPECT_EQ(got.value().h, want.h) << want.eps << " " << want.delta;
+    EXPECT_EQ(got.value().alpha, want.alpha) << want.eps << " " << want.delta;
+  }
+  ParallelOptions options;
+  options.eps = 0.01;
+  options.delta = 1e-4;
+  options.coordinator_extra_height = 4;
+  Result<UnknownNParams> worker = SolveParallelWorker(options);
+  ASSERT_TRUE(worker.ok()) << worker.status();
+  EXPECT_EQ(worker.value().b, 5);
+  EXPECT_EQ(worker.value().k, 1043u);
+  EXPECT_EQ(worker.value().h, 9);
+  EXPECT_EQ(worker.value().alpha, 0x1.57c791f261aa9p-1);
 }
 
 TEST(UnknownNSolverTest, RejectsInvalidArguments) {

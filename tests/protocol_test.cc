@@ -8,8 +8,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -235,10 +239,9 @@ TEST(TenantNameTest, Validation) {
 
 TEST(FrameTest, CreateSketchRoundTrip) {
   TenantConfig config;
-  config.kind = SketchKind::kSharded;
+  config.kind = SketchKind::kKll;
   config.eps = 0.02;
   config.delta = 1e-3;
-  config.num_shards = 8;
   config.seed = 42;
   std::vector<std::uint8_t> wire;
   EncodeCreateSketch("tenant-a", config, &wire);
@@ -254,18 +257,127 @@ TEST(FrameTest, CreateSketchRoundTrip) {
 
 TEST(SketchKindTest, ValidatorCoversExactlyTheKnownKinds) {
   EXPECT_TRUE(IsKnownSketchKind(0));
-  EXPECT_TRUE(IsKnownSketchKind(1));
+  EXPECT_FALSE(IsKnownSketchKind(kRetiredShardedKind));
   EXPECT_TRUE(IsKnownSketchKind(2));
   EXPECT_TRUE(IsKnownSketchKind(3));
   for (int kind = 4; kind <= 255; ++kind) {
     EXPECT_FALSE(IsKnownSketchKind(static_cast<std::uint8_t>(kind)))
         << "kind " << kind;
   }
+  for (SketchKind kind : kSketchKinds) {
+    EXPECT_TRUE(CheckSketchKind(static_cast<std::uint8_t>(kind)).ok());
+  }
+  EXPECT_EQ(CheckSketchKind(9).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(SketchKindName(SketchKind::kUnknownN), "unknown_n");
-  EXPECT_EQ(SketchKindName(SketchKind::kSharded), "sharded");
   EXPECT_EQ(SketchKindName(SketchKind::kKll), "kll");
   EXPECT_EQ(SketchKindName(SketchKind::kDetReservoir), "det_reservoir");
   EXPECT_EQ(SketchKindName(static_cast<SketchKind>(200)), "invalid");
+  EXPECT_EQ(SketchKindName(static_cast<SketchKind>(kRetiredShardedKind)),
+            "invalid");
+}
+
+// Builds the CREATE_SKETCH (or RESTORE, with an empty blob) frame that an
+// encoder from any protocol-v3 build could have written, with the kind
+// byte and the reserved u32 slot chosen by the caller.
+std::vector<std::uint8_t> ConfigFrame(MsgType type, std::uint8_t kind,
+                                      std::uint32_t reserved) {
+  std::vector<std::uint8_t> wire;
+  FrameBuilder frame(type, &wire);
+  frame.PutName("t");
+  frame.PutU8(kind);
+  frame.PutDouble(0.01);  // eps
+  frame.PutDouble(1e-4);  // delta
+  frame.PutU32(reserved);
+  frame.PutU64(1);  // seed
+  if (type == MsgType::kRestore) frame.PutU32(0);  // blob length
+  frame.Finish();
+  return wire;
+}
+
+Status DecodeConfigFrame(const std::vector<std::uint8_t>& wire) {
+  const FrameView frame = MustDecode(wire);
+  if (frame.type == MsgType::kCreateSketch) {
+    return DecodeCreateSketch(frame.payload, frame.payload_len).status();
+  }
+  return DecodeRestore(frame.payload, frame.payload_len).status();
+}
+
+TEST(SketchKindTest, RetiredShardedKindRejectedWithMigrationMessage) {
+  for (MsgType type : {MsgType::kCreateSketch, MsgType::kRestore}) {
+    const Status status =
+        DecodeConfigFrame(ConfigFrame(type, kRetiredShardedKind, 4));
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("sharded"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("removed"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("unknown_n"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(status.message(), CheckSketchKind(kRetiredShardedKind).message());
+  }
+
+  StatsReply stats;
+  stats.tenant_present = true;
+  stats.tenant_kind = static_cast<SketchKind>(kRetiredShardedKind);
+  std::vector<std::uint8_t> wire;
+  EncodeStatsOk(stats, &wire);
+  const FrameView frame = MustDecode(wire);
+  Result<ResponseView> response =
+      DecodeResponse(frame.payload, frame.payload_len);
+  ASSERT_TRUE(response.ok());
+  Result<StatsReply> decoded = DecodeStatsOk(response.value());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message(),
+            CheckSketchKind(kRetiredShardedKind).message());
+}
+
+TEST(SketchKindTest, ReservedSlotKeepsItsRangeCheck) {
+  // Encoders write 1 into the slot that once held the shard count.
+  TenantConfig config;
+  std::vector<std::uint8_t> encoded;
+  EncodeCreateSketch("t", config, &encoded);
+  EXPECT_EQ(encoded, ConfigFrame(MsgType::kCreateSketch, 0, 1));
+  encoded.clear();
+  EncodeRestore("t", config, {}, &encoded);
+  EXPECT_EQ(encoded, ConfigFrame(MsgType::kRestore, 0, 1));
+
+  // Decoders accept any value an older encoder wrote and still reject
+  // values outside [1, 1024].
+  for (MsgType type : {MsgType::kCreateSketch, MsgType::kRestore}) {
+    for (std::uint32_t reserved : {1u, 4u, 1024u}) {
+      EXPECT_TRUE(DecodeConfigFrame(ConfigFrame(type, 0, reserved)).ok())
+          << reserved;
+    }
+    for (std::uint32_t reserved : {0u, 1025u, 0xFFFFFFFFu}) {
+      const Status status = DecodeConfigFrame(ConfigFrame(type, 0, reserved));
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << reserved;
+    }
+  }
+}
+
+// The committed fuzz seeds must be frames the current decoder accepts, so
+// the fuzzer starts inside the request decoders rather than at the version
+// check. Regenerate with make_protocol_corpus when the framing changes.
+TEST(CorpusTest, CommittedProtocolSeedsDecode) {
+  std::size_t seeds = 0;
+  for (const std::filesystem::directory_entry& entry :
+       std::filesystem::directory_iterator(MRLQUANT_PROTOCOL_CORPUS_DIR)) {
+    SCOPED_TRACE(entry.path().filename().string());
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    Result<FrameView> frame = DecodeFrame(bytes.data(), bytes.size());
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    if (frame.value().type == MsgType::kCreateSketch) {
+      EXPECT_TRUE(DecodeCreateSketch(frame.value().payload,
+                                     frame.value().payload_len)
+                      .ok());
+    }
+    ++seeds;
+  }
+  EXPECT_GE(seeds, 10u);
 }
 
 TEST(FrameTest, ProtocolV2KindsRoundTrip) {
@@ -297,7 +409,7 @@ TEST(FrameTest, UnknownSketchKindByteIsCleanError) {
       frame.PutU8(static_cast<std::uint8_t>(kind));
       frame.PutDouble(0.01);   // eps
       frame.PutDouble(1e-4);   // delta
-      frame.PutU32(4);         // num_shards
+      frame.PutU32(4);         // reserved slot
       frame.PutU64(1);         // seed
       frame.Finish();
     }
@@ -430,10 +542,9 @@ TEST(FrameTest, FetchSummaryRoundTrip) {
 
 TEST(FrameTest, RestoreRoundTrip) {
   TenantConfig config;
-  config.kind = SketchKind::kSharded;
+  config.kind = SketchKind::kDetReservoir;
   config.eps = 0.02;
   config.delta = 1e-5;
-  config.num_shards = 3;
   config.seed = 99;
   const std::uint8_t blob[4] = {1, 2, 3, 4};
   std::vector<std::uint8_t> wire;
@@ -644,7 +755,7 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
   stats.num_tenants = 2;
   stats.total_count = 1000;
   stats.tenant_present = true;
-  stats.tenant_kind = SketchKind::kSharded;
+  stats.tenant_kind = SketchKind::kKll;
   stats.tenant_count = 600;
   stats.tenant_memory_elements = 4096;
   EncodeStatsOk(stats, &wire);
@@ -656,7 +767,7 @@ TEST(ResponseTest, TypedBodiesRoundTrip) {
   EXPECT_EQ(stats_out.value().num_tenants, 2u);
   EXPECT_EQ(stats_out.value().total_count, 1000u);
   EXPECT_TRUE(stats_out.value().tenant_present);
-  EXPECT_EQ(stats_out.value().tenant_kind, SketchKind::kSharded);
+  EXPECT_EQ(stats_out.value().tenant_kind, SketchKind::kKll);
   EXPECT_EQ(stats_out.value().tenant_count, 600u);
   EXPECT_EQ(stats_out.value().tenant_memory_elements, 4096u);
 }

@@ -14,7 +14,9 @@
 
 #include "core/unknown_n.h"
 #include "gtest/gtest.h"
+#include "server/protocol.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace mrl {
 namespace server {
@@ -83,34 +85,6 @@ TEST(RegistryTest, LifecycleAndErrors) {
   ASSERT_TRUE(registry.Delete("t").ok());
   EXPECT_EQ(registry.Delete("t").code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.size(), 0u);
-}
-
-TEST(RegistryTest, ShardedTenantRoundRobin) {
-  SketchRegistry registry(RegistryOptions{});
-  TenantConfig config;
-  config.kind = SketchKind::kSharded;
-  config.num_shards = 4;
-  ASSERT_TRUE(registry.Create("s", config).ok());
-
-  const std::size_t kN = 200000;
-  const std::vector<Value> values = UniformStream(kN, 7);
-  std::vector<Value> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-
-  // Feed in many small batches so every shard sees work.
-  const std::size_t kBatch = 1000;
-  for (std::size_t i = 0; i < kN; i += kBatch) {
-    std::span<const Value> batch(values.data() + i, kBatch);
-    ASSERT_TRUE(registry.AddBatch("s", batch).ok());
-  }
-  EXPECT_EQ(registry.Stats("s").count, kN);
-
-  for (double phi : {0.1, 0.5, 0.9, 0.99}) {
-    Result<Value> answer = registry.Query("s", phi);
-    ASSERT_TRUE(answer.ok());
-    EXPECT_NEAR(RankOf(sorted, answer.value()), phi, config.eps)
-        << "phi=" << phi;
-  }
 }
 
 TEST(RegistryTest, LruEvictionAndRecycling) {
@@ -260,15 +234,14 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
     options.checkpoint_path = path;
     SketchRegistry registry(options);
     TenantConfig unknown_cfg;
-    TenantConfig sharded_cfg;
-    sharded_cfg.kind = SketchKind::kSharded;
-    sharded_cfg.num_shards = 3;
+    TenantConfig kll_cfg;
+    kll_cfg.kind = SketchKind::kKll;
     ASSERT_TRUE(registry.Create("u", unknown_cfg).ok());
-    ASSERT_TRUE(registry.Create("s", sharded_cfg).ok());
+    ASSERT_TRUE(registry.Create("k", kll_cfg).ok());
     for (std::size_t i = 0; i < values.size(); i += 5000) {
       std::span<const Value> batch(values.data() + i, 5000);
       ASSERT_TRUE(registry.AddBatch("u", batch).ok());
-      ASSERT_TRUE(registry.AddBatch("s", batch).ok());
+      ASSERT_TRUE(registry.AddBatch("k", batch).ok());
     }
     ASSERT_TRUE(registry.CheckpointNow().ok());
     before = registry.GlobalStats();
@@ -281,12 +254,12 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
   EXPECT_EQ(recovered.size(), 2u);
   EXPECT_EQ(recovered.GlobalStats().total_count, before.total_count);
   EXPECT_EQ(recovered.Stats("u").count, values.size());
-  EXPECT_EQ(recovered.Stats("s").count, values.size());
-  EXPECT_EQ(recovered.Stats("s").config.kind, SketchKind::kSharded);
+  EXPECT_EQ(recovered.Stats("k").count, values.size());
+  EXPECT_EQ(recovered.Stats("k").config.kind, SketchKind::kKll);
 
   std::vector<Value> sorted = values;
   std::sort(sorted.begin(), sorted.end());
-  for (const char* tenant : {"u", "s"}) {
+  for (const char* tenant : {"u", "k"}) {
     Result<Value> answer = recovered.Query(tenant, 0.5);
     ASSERT_TRUE(answer.ok());
     EXPECT_NEAR(RankOf(sorted, answer.value()), 0.5, 0.01);
@@ -297,6 +270,127 @@ TEST(RegistryTest, CheckpointRecoverRoundTrip) {
   EXPECT_EQ(recovered.Stats("u").count, values.size() + 1);
 
   std::remove(path.c_str());
+}
+
+TEST(RegistryTest, RecoverRefusesRetiredShardedTenantByName) {
+  // A v2 checkpoint as a build that still had the sharded kind wrote it:
+  // one unknown_n tenant, then one tenant of kind byte 1.
+  UnknownNOptions sketch_options;
+  sketch_options.eps = 0.05;
+  UnknownNSketch sketch =
+      std::move(UnknownNSketch::Create(sketch_options)).value();
+  sketch.AddBatch(UniformStream(1000, 5));
+  const std::vector<std::uint8_t> blob = sketch.Serialize();
+
+  BinaryWriter writer;
+  writer.PutU32(0x4D524C52);  // "MRLR"
+  writer.PutU8(2);
+  writer.PutU64(2);
+  const auto put_tenant = [&](const std::string& name, std::uint8_t kind) {
+    writer.PutU16(static_cast<std::uint16_t>(name.size()));
+    for (char c : name) writer.PutU8(static_cast<std::uint8_t>(c));
+    writer.PutU8(kind);
+    writer.PutDouble(0.05);  // eps
+    writer.PutDouble(1e-4);  // delta
+    writer.PutI32(4);        // reserved slot (the old shard count)
+    writer.PutU64(1);        // seed
+    writer.PutU32(static_cast<std::uint32_t>(blob.size()));
+    for (std::uint8_t byte : blob) writer.PutU8(byte);
+  };
+  put_tenant("keep", 0);
+  put_tenant("legacy-wide", 1);
+  std::vector<std::uint8_t> bytes = writer.Take();
+  const std::uint32_t crc = Crc32(bytes.data(), bytes.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    bytes.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+  const std::string path = TempPath("registry_ckpt_sharded");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+
+  RegistryOptions options;
+  options.checkpoint_path = path;
+  SketchRegistry recovered(options);
+  const Status status = recovered.RecoverFromDisk();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("'legacy-wide'"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("unknown_n"), std::string::npos)
+      << status.message();
+  // All or nothing: the valid tenant before it is not installed either.
+  EXPECT_EQ(recovered.size(), 0u);
+  EXPECT_FALSE(recovered.Stats("keep").present);
+
+  std::remove(path.c_str());
+}
+
+// tests/data/registry_v2_parent.mrlr was written by CheckpointNow before the
+// sharded kind was removed, when every tenant record carried a shard count
+// (default 4) in what is now the reserved slot. Tenants: "mrl" (unknown_n,
+// seed 11), "kll" (seed 12), "dres" (det_reservoir, seed 13), all eps 0.05,
+// delta 1e-3, each fed the same 300 values.
+TEST(RegistryTest, RecoversCheckpointWrittenWithShardCountFour) {
+  const std::string path =
+      std::string(MRLQUANT_TEST_DATA_DIR) + "/registry_v2_parent.mrlr";
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr) << path;
+  std::vector<std::uint8_t> file;
+  for (int c; (c = std::fgetc(f)) != EOF;) {
+    file.push_back(static_cast<std::uint8_t>(c));
+  }
+  std::fclose(f);
+  // The first record's reserved slot really holds 4: header (13 bytes),
+  // u16 name length, name, kind, eps, delta, then the i32 slot.
+  ASSERT_GT(file.size(), 64u);
+  const std::size_t name_len = file[13] | (file[14] << 8);
+  const std::size_t slot = 15 + name_len + 1 + 8 + 8;
+  EXPECT_EQ(file[slot], 4);
+  EXPECT_EQ(file[slot + 1] | file[slot + 2] | file[slot + 3], 0);
+
+  // Recover from a copy: Snapshot below re-checkpoints to the path.
+  const std::string copy = TempPath("registry_ckpt_parent");
+  f = std::fopen(copy.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+  std::fclose(f);
+  RegistryOptions options;
+  options.checkpoint_path = copy;
+  SketchRegistry recovered(options);
+  ASSERT_TRUE(recovered.RecoverFromDisk().ok());
+  ASSERT_EQ(recovered.size(), 3u);
+  struct Expected {
+    const char* name;
+    SketchKind kind;
+    std::uint64_t seed;
+    double q50;
+    double q90;
+  };
+  for (const Expected& want :
+       {Expected{"mrl", SketchKind::kUnknownN, 11, 50.5, 90.5},
+        Expected{"kll", SketchKind::kKll, 12, 49.5, 90.5},
+        Expected{"dres", SketchKind::kDetReservoir, 13, 50.5, 90.5}}) {
+    const TenantStats stats = recovered.Stats(want.name);
+    ASSERT_TRUE(stats.present) << want.name;
+    EXPECT_EQ(stats.config.kind, want.kind) << want.name;
+    EXPECT_EQ(stats.config.eps, 0.05) << want.name;
+    EXPECT_EQ(stats.config.delta, 1e-3) << want.name;
+    EXPECT_EQ(stats.config.seed, want.seed) << want.name;
+    EXPECT_EQ(stats.count, 300u) << want.name;
+    EXPECT_EQ(recovered.Query(want.name, 0.5).value(), want.q50) << want.name;
+    EXPECT_EQ(recovered.Query(want.name, 0.9).value(), want.q90) << want.name;
+    // The sketch state is unchanged: its snapshot (u32 length + blob, the
+    // checkpoint's own record framing) appears verbatim in the file.
+    std::vector<std::uint8_t> snapshot;
+    ASSERT_TRUE(recovered.Snapshot(want.name, &snapshot).ok());
+    EXPECT_NE(std::search(file.begin(), file.end(), snapshot.begin(),
+                          snapshot.end()),
+              file.end())
+        << want.name;
+  }
+  std::remove(copy.c_str());
 }
 
 TEST(RegistryTest, RecoverRejectsCorruptCheckpoint) {

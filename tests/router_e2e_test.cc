@@ -127,6 +127,22 @@ std::vector<std::uint8_t> AddBatchFrame(std::string_view name,
   return out;
 }
 
+/// A CREATE_SKETCH frame with a raw kind byte (the encoder only takes live
+/// kinds) and the reserved slot as an older encoder wrote it.
+std::vector<std::uint8_t> CreateFrame(std::string_view name,
+                                      std::uint8_t kind) {
+  std::vector<std::uint8_t> out;
+  server::FrameBuilder frame(server::MsgType::kCreateSketch, &out);
+  frame.PutName(name);
+  frame.PutU8(kind);
+  frame.PutDouble(0.01);  // eps
+  frame.PutDouble(1e-4);  // delta
+  frame.PutU32(4);        // reserved slot (the old shard count)
+  frame.PutU64(1);        // seed
+  frame.Finish();
+  return out;
+}
+
 class RouterE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -611,6 +627,9 @@ TEST_F(RouterE2eTest, HostileFramesGetTheDaemonsAnswer) {
       AddBatchFrame("bad/name", 2, {1, 2}),
       AddBatchFrame("rep", 3, {1, nan, 2}),
       AddBatchFrame("wide", nan_last.size(), nan_last),
+      // The retired sharded kind, on the forwarded and the partitioned path.
+      CreateFrame("legacy", server::kRetiredShardedKind),
+      CreateFrame("wide", server::kRetiredShardedKind),
   };
   RawConn via_router(router_uds_);
   RawConn via_daemon(backend_uds_[kBackends]);
@@ -621,6 +640,11 @@ TEST_F(RouterE2eTest, HostileFramesGetTheDaemonsAnswer) {
     EXPECT_EQ(via_router.Exchange(hostile[i]), want) << "frame " << i;
   }
   EXPECT_EQ(counts(), before);
+  const std::string retired =
+      "1/" + std::to_string(static_cast<int>(StatusCode::kInvalidArgument)) +
+      "/" + server::CheckSketchKind(server::kRetiredShardedKind).message();
+  EXPECT_EQ(via_router.Exchange(CreateFrame("legacy", 1)), retired);
+  EXPECT_EQ(via_router.Exchange(CreateFrame("wide", 1)), retired);
   // Both connections stay usable after every refusal.
   EXPECT_EQ(via_router.Exchange(AddBatchFrame("rep", 1, {0.5})), "2/0/");
   EXPECT_TRUE(client.Ping().ok());

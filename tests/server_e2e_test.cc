@@ -147,9 +147,8 @@ TEST_F(ServerE2eTest, MultiThreadedIngestionMeetsEpsBound) {
   constexpr double kEps = 0.01;
 
   TenantConfig config;
-  config.kind = SketchKind::kSharded;
+  config.kind = SketchKind::kUnknownN;
   config.eps = kEps;
-  config.num_shards = kThreads;
   {
     Client admin = Connect();
     ASSERT_TRUE(admin.CreateSketch("latency", config).ok());
@@ -285,7 +284,7 @@ TEST_F(ServerE2eTest, KillAndRestartRecoversFromCheckpoint) {
 TEST_F(ServerE2eTest, DisabledBackendErrorTextReachesClient) {
   ServerOptions options;
   options.registry.allowed_kinds = {SketchKind::kUnknownN,
-                                    SketchKind::kSharded};
+                                    SketchKind::kDetReservoir};
   std::unique_ptr<QuantileServer> server = StartServer(std::move(options));
   ASSERT_NE(server, nullptr);
   Client client = Connect();
@@ -305,13 +304,13 @@ TEST_F(ServerE2eTest, DisabledBackendErrorTextReachesClient) {
   // Re-creating an existing tenant under a different kind names both the
   // held and the requested backend in the error.
   ASSERT_TRUE(client.CreateSketch("t", TenantConfig{}).ok());
-  TenantConfig sharded_config;
-  sharded_config.kind = SketchKind::kSharded;
-  const Status mismatch = client.CreateSketch("t", sharded_config);
+  TenantConfig reservoir_config;
+  reservoir_config.kind = SketchKind::kDetReservoir;
+  const Status mismatch = client.CreateSketch("t", reservoir_config);
   EXPECT_EQ(mismatch.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(mismatch.message().find("unknown_n"), std::string::npos)
       << mismatch.message();
-  EXPECT_NE(mismatch.message().find("sharded"), std::string::npos)
+  EXPECT_NE(mismatch.message().find("det_reservoir"), std::string::npos)
       << mismatch.message();
 
   // The error responses must leave the connection usable.

@@ -148,8 +148,12 @@ void ExpectKernelsMatch(const SortKernelOps& avx2, InputKind kind,
   SCOPED_TRACE(::testing::Message() << "kind=" << static_cast<int>(kind)
                                     << " n=" << n << " offset=" << offset);
   // Over-allocate so data() + offset walks through every element alignment
-  // relative to the vector's (32-byte-aligned-or-not) base.
-  std::vector<Value> storage = MakeInput(kind, n + offset, seed);
+  // relative to the vector's (32-byte-aligned-or-not) base. The one extra
+  // element is never read; it keeps `in` non-null when n + offset == 0
+  // (memcmp's arguments must be valid pointers even for zero bytes).
+  // MakeInput draws element i independently of the length, so the first
+  // n + offset values are the same as without it.
+  std::vector<Value> storage = MakeInput(kind, n + offset + 1, seed);
   const Value* in = storage.data() + offset;
 
   const SortKernelOps& scalar = simd::ScalarSortKernels();
@@ -276,6 +280,9 @@ TEST(SimdKernelTest, SortEngineBitIdenticalAcrossPaths) {
     SortValues(b.data(), b.size(), &scratch_b);
     simd::ForceDispatchForTesting(original);
 
+    // memcmp's arguments must be valid pointers even for zero bytes, and an
+    // empty vector's data() may be null.
+    if (n == 0) continue;
     ASSERT_EQ(std::memcmp(a.data(), b.data(), n * sizeof(Value)), 0)
         << "n=" << n;
   }

@@ -52,7 +52,7 @@ void Usage(const char* argv0) {
       "--shards sets the number of shared-nothing event-loop shards\n"
       "(default: one per core).\n"
       "--backends limits which sketch kinds CREATE_SKETCH may instantiate:\n"
-      "a comma-separated subset of unknown_n,sharded,kll,det_reservoir\n"
+      "a comma-separated subset of unknown_n,kll,det_reservoir\n"
       "(default: all).\n",
       argv0);
 }
@@ -67,8 +67,7 @@ std::vector<mrl::server::SketchKind> ParseBackendList(const std::string& text) {
     if (comma == std::string::npos) comma = text.size();
     const std::string name = text.substr(start, comma - start);
     bool found = false;
-    for (std::uint8_t k = 0; mrl::server::IsKnownSketchKind(k); ++k) {
-      const auto kind = static_cast<mrl::server::SketchKind>(k);
+    for (const mrl::server::SketchKind kind : mrl::server::kSketchKinds) {
       if (name == mrl::server::SketchKindName(kind)) {
         kinds.push_back(kind);
         found = true;
@@ -78,7 +77,7 @@ std::vector<mrl::server::SketchKind> ParseBackendList(const std::string& text) {
     if (!found) {
       std::fprintf(stderr,
                    "mrlquantd: bad --backends entry: '%s' (expected a subset "
-                   "of unknown_n,sharded,kll,det_reservoir)\n",
+                   "of unknown_n,kll,det_reservoir)\n",
                    name.c_str());
       std::exit(2);
     }
