@@ -209,7 +209,15 @@ void BM_StdSortPairs(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_StdSortPairs)->Arg(257)->Arg(4097)->Arg(65536);
+// The pairs grid straddles the pairs cutoff (kPairsRadixCutoff in
+// util/sort.cc) so the crossover it was tuned at stays visible.
+BENCHMARK(BM_StdSortPairs)
+    ->Arg(257)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(3072)
+    ->Arg(4097)
+    ->Arg(65536);
 
 void BM_RadixSortPairs(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -224,7 +232,13 @@ void BM_RadixSortPairs(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_RadixSortPairs)->Arg(257)->Arg(4097)->Arg(65536);
+BENCHMARK(BM_RadixSortPairs)
+    ->Arg(257)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(3072)
+    ->Arg(4097)
+    ->Arg(65536);
 
 // The framework's actual hot call site: refill a Buffer to capacity and
 // promote it with MarkFull, whose sort now runs through the engine's

@@ -1,8 +1,9 @@
 // Single-pass cost (Section 1.3: the algorithm must keep up with a scan):
 // google-benchmark microbenchmarks of per-element insertion for every
 // estimator in the library, plus query cost, plus the effect of sampling
-// (deep vs shallow trees) on insertion throughput. Element-wise Add and
-// the batch ingestion path (AddBatch) are reported side by side — compare
+// (deep vs shallow trees) on insertion throughput, plus the parameter
+// solve a fresh sketch pays at set-up. Element-wise Add and the batch
+// ingestion path (AddBatch) are reported side by side — compare
 // items_per_second between BM_*Add and BM_*AddBatch at the same args.
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "baseline/reservoir_quantile.h"
 #include "core/extreme.h"
 #include "core/known_n.h"
+#include "core/params.h"
 #include "core/unknown_n.h"
 #include "sampling/block_sampler.h"
 #include "stream/generator.h"
@@ -341,6 +343,17 @@ void BM_SummaryQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SummaryQuery);
+
+void BM_SolveUnknownN(benchmark::State& state) {
+  // The Section 4.5 parameter solve every UnknownNSketch::Create (and so
+  // every CREATE_SKETCH) pays before its first value: set-up cost.
+  const double eps = 1.0 / static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    mrl::Result<mrl::UnknownNParams> params = mrl::SolveUnknownN(eps, 1e-4);
+    benchmark::DoNotOptimize(params);
+  }
+}
+BENCHMARK(BM_SolveUnknownN)->Arg(20)->Arg(100)->Arg(1000);
 
 }  // namespace
 

@@ -1,8 +1,5 @@
 #include "core/multi_quantile.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace mrl {
 
 Result<MultiQuantileSketch> MultiQuantileSketch::Create(
@@ -29,44 +26,6 @@ Result<std::vector<Value>> MultiQuantileSketch::QueryMany(
         std::to_string(p_));
   }
   return inner_.QueryMany(phis);
-}
-
-Result<PrecomputedQuantiles> PrecomputedQuantiles::Create(
-    const Options& options) {
-  if (!(options.eps > 0.0) || options.eps >= 1.0) {
-    return Status::InvalidArgument("eps must be in (0, 1)");
-  }
-  // Grid points (2i - 1) * eps / 2; each maintained eps/2-approximately so
-  // that nearest-point lookup is eps-approximate overall.
-  std::vector<double> grid;
-  for (double phi = options.eps / 2.0; phi < 1.0; phi += options.eps) {
-    grid.push_back(phi);
-  }
-  UnknownNOptions inner_options;
-  inner_options.eps = options.eps / 2.0;
-  inner_options.delta = options.delta / static_cast<double>(grid.size());
-  inner_options.seed = options.seed;
-  Result<UnknownNSketch> inner = UnknownNSketch::Create(inner_options);
-  if (!inner.ok()) return inner.status();
-  return PrecomputedQuantiles(std::move(inner).value(), std::move(grid),
-                              options.eps);
-}
-
-Result<Value> PrecomputedQuantiles::Query(double phi) const {
-  if (!(phi > 0.0) || phi > 1.0) {
-    return Status::InvalidArgument("phi must be in (0, 1]");
-  }
-  // Nearest grid point.
-  auto it = std::lower_bound(grid_.begin(), grid_.end(), phi);
-  double best;
-  if (it == grid_.end()) {
-    best = grid_.back();
-  } else if (it == grid_.begin()) {
-    best = grid_.front();
-  } else {
-    best = (*it - phi < phi - *(it - 1)) ? *it : *(it - 1);
-  }
-  return inner_.Query(best);
 }
 
 }  // namespace mrl

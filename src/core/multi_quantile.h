@@ -59,54 +59,6 @@ class MultiQuantileSketch : public QuantileEstimator {
   std::uint64_t p_;
 };
 
-/// The pre-computation trick (Section 4.7): maintain eps/2-approximate
-/// quantiles at the grid phi = eps/2, 3*eps/2, 5*eps/2, ...; answering any
-/// phi with the nearest grid point is eps-approximate. Memory is
-/// independent of the number of queries — useful when p is huge or unknown
-/// (e.g. equi-depth histograms with p not fixed in advance).
-class PrecomputedQuantiles : public QuantileEstimator {
- public:
-  struct Options {
-    double eps = 0.01;
-    double delta = 1e-4;
-    std::uint64_t seed = 1;
-  };
-
-  static Result<PrecomputedQuantiles> Create(const Options& options);
-
-  PrecomputedQuantiles(PrecomputedQuantiles&&) = default;
-  PrecomputedQuantiles& operator=(PrecomputedQuantiles&&) = default;
-
-  void Add(Value v) override { inner_.Add(v); }
-  void AddBatch(std::span<const Value> values) override {
-    inner_.AddBatch(values);
-  }
-  std::uint64_t count() const override { return inner_.count(); }
-
-  /// Answers any phi in (0, 1] via the nearest grid point.
-  Result<Value> Query(double phi) const override;
-
-  std::uint64_t MemoryElements() const override {
-    return inner_.MemoryElements();
-  }
-  std::string name() const override { return "mrl99_precomputed_grid"; }
-
-  void Reset() override { inner_.Reset(); }
-  void Reset(std::uint64_t seed) override { inner_.Reset(seed); }
-
-  /// The grid of quantile fractions this sketch maintains.
-  const std::vector<double>& grid() const { return grid_; }
-
- private:
-  PrecomputedQuantiles(UnknownNSketch inner, std::vector<double> grid,
-                       double eps)
-      : inner_(std::move(inner)), grid_(std::move(grid)), eps_(eps) {}
-
-  UnknownNSketch inner_;
-  std::vector<double> grid_;
-  double eps_;
-};
-
 }  // namespace mrl
 
 #endif  // MRLQUANT_CORE_MULTI_QUANTILE_H_

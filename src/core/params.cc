@@ -1,5 +1,6 @@
 #include "core/params.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -26,18 +27,27 @@ Status ValidateEpsDelta(double eps, double delta) {
   return Status::OK();
 }
 
-/// Leaf-capacity of the collapse tree with b buffers grown to height h
-/// before sampling; the paper's L_d (Section 4.5).
-std::uint64_t LeavesLd(int b, int h) {
-  return SaturatingBinomial(static_cast<std::uint64_t>(b + h - 2),
-                            static_cast<std::uint64_t>(h - 1));
-}
-
-/// The paper's L_s: leaves consumed per level once sampling is active.
-std::uint64_t LeavesLs(int b, int h) {
-  if (b + h - 3 < h - 1) return 1;
-  return SaturatingBinomial(static_cast<std::uint64_t>(b + h - 3),
-                            static_cast<std::uint64_t>(h - 1));
+/// Walks the (b, h) grid b-major, h-minor, and hands each cell its leaf
+/// counts: L_d = C(b+h-2, h-1), the leaf capacity of b buffers grown to
+/// height h before sampling, and L_s = C(b+h-3, h-1), the leaves consumed
+/// per level once sampling is active (Section 4.5). They come from a
+/// rolling saturating Pascal row D[b][h] = C(b+h-2, h-1) =
+/// D[b-1][h] + D[b][h-1], so L_d is cur[h] and L_s is prev[h]: two small
+/// arrays on the stack, equal to SaturatingBinomial cell by cell.
+template <typename Visit>
+void ForEachGridCell(Visit&& visit) {
+  // Row b = 1: C(h-1, h-1) = 1. Index 0 is unused.
+  std::array<std::uint64_t, kMaxHeight + 1> prev{};
+  std::array<std::uint64_t, kMaxHeight + 1> cur{};
+  prev.fill(1);
+  cur.fill(1);  // column h = 1: C(b-1, 0) = 1
+  for (int b = 2; b <= kMaxBuffers; ++b) {
+    for (int h = 1; h <= kMaxHeight; ++h) {
+      if (h > 1) cur[h] = SaturatingBinomialSum(prev[h], cur[h - 1]);
+      visit(b, h, cur[h], prev[h]);
+    }
+    prev = cur;
+  }
 }
 
 }  // namespace
@@ -65,42 +75,36 @@ Result<UnknownNParams> SolveUnknownN(double eps, double delta,
   std::uint64_t best_memory = std::numeric_limits<std::uint64_t>::max();
 
   const double log_term = std::log(2.0 / delta);
-  for (int b = 2; b <= kMaxBuffers; ++b) {
-    for (int h = 1; h <= kMaxHeight; ++h) {
-      const std::uint64_t ld = LeavesLd(b, h);
-      const std::uint64_t ls = LeavesLs(b, h);
-      const double leaf_min =
-          std::min(static_cast<double>(ld), (8.0 / 3.0) *
-                                                static_cast<double>(ls));
-      // k >= c1 / (1-a)^2  and  k >= c2 / a.
-      const double c1 = log_term / (2.0 * eps * eps * leaf_min);
-      const double c2 =
-          static_cast<double>(h + extra_height + 1) / (2.0 * eps);
-      // The max of the two lower bounds is minimized where they cross:
-      // c2 a^2 - (2 c2 + c1) a + c2 = 0; smaller root, computed stably.
-      const double bq = 2.0 * c2 + c1;
-      const double disc = bq * bq - 4.0 * c2 * c2;
-      MRL_DCHECK_GE(disc, 0.0);
-      const double alpha = 2.0 * c2 / (bq + std::sqrt(disc));
-      // For large (b, h) the leaf counts saturate, c1 vanishes next to c2
-      // and alpha rounds to exactly 1: no sampling budget is left, so k is
-      // unbounded. Such a candidate can never win.
-      if (!(alpha < 1.0)) continue;
-      const double k_real = std::max(c1 / ((1.0 - alpha) * (1.0 - alpha)),
-                                     c2 / alpha);
-      if (!(k_real < static_cast<double>(kMaxK))) continue;
-      const std::uint64_t k = static_cast<std::uint64_t>(std::ceil(k_real));
-      const std::uint64_t memory = static_cast<std::uint64_t>(b) * k;
-      if (memory < best_memory) {
-        best_memory = memory;
-        best.b = b;
-        best.k = static_cast<std::size_t>(k);
-        best.h = h;
-        best.alpha = alpha;
-        best.leaves_before_sampling = ld;
-      }
+  ForEachGridCell([&](int b, int h, std::uint64_t ld, std::uint64_t ls) {
+    const double leaf_min = std::min(static_cast<double>(ld),
+                                     (8.0 / 3.0) * static_cast<double>(ls));
+    // k >= c1 / (1-a)^2  and  k >= c2 / a.
+    const double c1 = log_term / (2.0 * eps * eps * leaf_min);
+    const double c2 = static_cast<double>(h + extra_height + 1) / (2.0 * eps);
+    // The max of the two lower bounds is minimized where they cross:
+    // c2 a^2 - (2 c2 + c1) a + c2 = 0; smaller root, computed stably.
+    const double bq = 2.0 * c2 + c1;
+    const double disc = bq * bq - 4.0 * c2 * c2;
+    MRL_DCHECK_GE(disc, 0.0);
+    const double alpha = 2.0 * c2 / (bq + std::sqrt(disc));
+    // For large (b, h) the leaf counts saturate, c1 vanishes next to c2
+    // and alpha rounds to exactly 1: no sampling budget is left, so k is
+    // unbounded. Such a candidate can never win.
+    if (!(alpha < 1.0)) return;
+    const double k_real = std::max(c1 / ((1.0 - alpha) * (1.0 - alpha)),
+                                   c2 / alpha);
+    if (!(k_real < static_cast<double>(kMaxK))) return;
+    const std::uint64_t k = static_cast<std::uint64_t>(std::ceil(k_real));
+    const std::uint64_t memory = static_cast<std::uint64_t>(b) * k;
+    if (memory < best_memory) {
+      best_memory = memory;
+      best.b = b;
+      best.k = static_cast<std::size_t>(k);
+      best.h = h;
+      best.alpha = alpha;
+      best.leaves_before_sampling = ld;
     }
-  }
+  });
   if (best_memory == std::numeric_limits<std::uint64_t>::max()) {
     return Status::ResourceExhausted(
         "no feasible (b, k, h) within search bounds");
@@ -129,26 +133,23 @@ Result<KnownNParams> SolveKnownN(double eps, double delta, std::uint64_t n) {
   auto solve_deterministic = [&](double tree_eps, std::uint64_t count,
                                  KnownNParams* out) -> bool {
     std::uint64_t local_best = std::numeric_limits<std::uint64_t>::max();
-    for (int b = 2; b <= kMaxBuffers; ++b) {
-      for (int h = 1; h <= kMaxHeight; ++h) {
-        const std::uint64_t capacity_leaves = LeavesLd(b, h);
-        const double k_tree =
-            static_cast<double>(h + 1) / (2.0 * tree_eps);
-        std::uint64_t k = static_cast<std::uint64_t>(std::ceil(k_tree));
-        if (k == 0) k = 1;
-        // Leaf capacity: capacity_leaves * k >= count.
-        const std::uint64_t k_capacity = CeilDiv(count, capacity_leaves);
-        if (k_capacity > k) k = k_capacity;
-        if (k > kMaxK) continue;
-        const std::uint64_t memory = static_cast<std::uint64_t>(b) * k;
-        if (memory < local_best) {
-          local_best = memory;
-          out->b = b;
-          out->k = static_cast<std::size_t>(k);
-          out->h = h;
-        }
+    ForEachGridCell([&](int b, int h, std::uint64_t capacity_leaves,
+                        std::uint64_t /*leaves_sampled*/) {
+      const double k_tree = static_cast<double>(h + 1) / (2.0 * tree_eps);
+      std::uint64_t k = static_cast<std::uint64_t>(std::ceil(k_tree));
+      if (k == 0) k = 1;
+      // Leaf capacity: capacity_leaves * k >= count.
+      const std::uint64_t k_capacity = CeilDiv(count, capacity_leaves);
+      if (k_capacity > k) k = k_capacity;
+      if (k > kMaxK) return;
+      const std::uint64_t memory = static_cast<std::uint64_t>(b) * k;
+      if (memory < local_best) {
+        local_best = memory;
+        out->b = b;
+        out->k = static_cast<std::size_t>(k);
+        out->h = h;
       }
-    }
+    });
     return local_best != std::numeric_limits<std::uint64_t>::max();
   };
 

@@ -22,31 +22,4 @@ Dataset GenerateStream(const StreamSpec& spec) {
   return Dataset(std::move(values));
 }
 
-GeneratedStreamReader::GeneratedStreamReader(const StreamSpec& spec)
-    : n_(spec.n), rng_(spec.seed) {
-  if (spec.order == ArrivalOrder::kAsDrawn) {
-    dist_ = MakeDistribution(spec.distribution);
-    MRL_CHECK(dist_ != nullptr)
-        << "unknown distribution: " << spec.distribution;
-  } else {
-    materialized_ = GenerateStream(spec).values();
-  }
-}
-
-std::size_t GeneratedStreamReader::ReadBatch(Value* out, std::size_t max) {
-  std::size_t produced = 0;
-  if (dist_ != nullptr) {
-    while (produced < max && position_ < n_) {
-      out[produced++] = dist_->Draw(&rng_);
-      ++position_;
-    }
-  } else {
-    while (produced < max && position_ < n_) {
-      out[produced++] = materialized_[static_cast<std::size_t>(position_)];
-      ++position_;
-    }
-  }
-  return produced;
-}
-
 }  // namespace mrl

@@ -3,14 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "stream/dataset.h"
-#include "stream/distribution.h"
 #include "stream/order.h"
-#include "util/random.h"
 
 namespace mrl {
 
@@ -26,36 +22,6 @@ struct StreamSpec {
 /// Materializes the stream described by `spec`. CHECK-fails on an unknown
 /// distribution name (specs are programmer-provided in this library).
 Dataset GenerateStream(const StreamSpec& spec);
-
-/// Incremental view of the stream described by a StreamSpec: produces the
-/// exact same value sequence as GenerateStream(spec) but hands it out in
-/// caller-sized chunks, so benchmark and ingestion loops can feed sketches
-/// through AddBatch without the generator dictating the chunking. For
-/// ArrivalOrder::kAsDrawn values are drawn on the fly in O(chunk) memory;
-/// any other order requires the full permutation and is materialized once
-/// up front.
-class GeneratedStreamReader {
- public:
-  /// CHECK-fails on an unknown distribution name, like GenerateStream.
-  explicit GeneratedStreamReader(const StreamSpec& spec);
-
-  /// Copies up to `max` values into `out`; returns how many were produced
-  /// (0 once the spec's n values have been emitted).
-  std::size_t ReadBatch(Value* out, std::size_t max);
-
-  /// Values emitted so far.
-  std::uint64_t position() const { return position_; }
-
-  /// Total stream length (the spec's n).
-  std::uint64_t size() const { return n_; }
-
- private:
-  std::uint64_t n_;
-  std::uint64_t position_ = 0;
-  std::unique_ptr<Distribution> dist_;  // null when materialized_ is used
-  Random rng_;
-  std::vector<Value> materialized_;  // non-kAsDrawn orders only
-};
 
 }  // namespace mrl
 

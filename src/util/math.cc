@@ -6,31 +6,18 @@
 
 namespace mrl {
 
-namespace {
-constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
-}  // namespace
-
 std::uint64_t SaturatingBinomial(std::uint64_t n, std::uint64_t r) {
   if (r > n) return 0;
   if (r > n - r) r = n - r;
-  if (r == 0) return 1;
-  // Detect saturation cheaply with the log form before multiplying.
-  if (LogBinomial(n, r) > 43.6) {  // ln(2^63) ~ 43.67
-    return kSaturated;
-  }
-  std::uint64_t result = 1;
+  // Step i turns C(n-r+i-1, i-1) into C(n-r+i, i) exactly. The partial
+  // values only grow with i, so the first one past the limit decides
+  // saturation; until then the product is below 2^63 * 2^64 and fits.
+  unsigned __int128 result = 1;
   for (std::uint64_t i = 1; i <= r; ++i) {
-    // result * (n - r + i) / i is always integral at each step.
-    result = result / i * (n - r + i) + result % i * (n - r + i) / i;
+    result = result * (n - r + i) / i;
+    if (result > kBinomialSaturationLimit) return kSaturatedBinomial;
   }
-  return result;
-}
-
-double LogBinomial(std::uint64_t n, std::uint64_t r) {
-  MRL_CHECK_LE(r, n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(r) + 1.0) -
-         std::lgamma(static_cast<double>(n - r) + 1.0);
+  return static_cast<std::uint64_t>(result);
 }
 
 double KlBernoulli(double p, double q) {

@@ -11,15 +11,36 @@ constexpr std::uint64_t CeilDiv(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
 }
 
-/// Binomial coefficient C(n, r), saturating at
-/// std::numeric_limits<uint64_t>::max() instead of overflowing. The MRL99
-/// parameter solver uses these for leaf counts L_d = C(b+h-2, h-1), which
-/// exceed 2^64 for large (b, h); saturation keeps the constraint checks
-/// correct (a saturated leaf count trivially satisfies the lower bounds).
+/// Saturation limit of the binomial leaf counts: e^43.6 ~ 8.61e18, just
+/// under 2^63 (this is the double std::exp(43.6), which is an integer).
+/// A count above it is as good as infinite to the parameter solvers.
+inline constexpr std::uint64_t kBinomialSaturationLimit =
+    8614685180288970752ull;
+
+/// Sentinel a saturated leaf count takes.
+inline constexpr std::uint64_t kSaturatedBinomial =
+    std::numeric_limits<std::uint64_t>::max();
+
+/// Binomial coefficient C(n, r) when it is at most kBinomialSaturationLimit;
+/// kSaturatedBinomial (uint64 max) for anything larger, and 0 for r > n.
+/// The MRL99 parameter solvers use these for leaf counts
+/// L_d = C(b+h-2, h-1), which exceed 2^64 for large (b, h); saturation
+/// keeps the constraint checks correct (a saturated leaf count trivially
+/// satisfies the lower bounds). Exact integer arithmetic, no shared state.
 std::uint64_t SaturatingBinomial(std::uint64_t n, std::uint64_t r);
 
-/// Natural log of C(n, r) via lgamma. Requires r <= n.
-double LogBinomial(std::uint64_t n, std::uint64_t r);
+/// a + b for two SaturatingBinomial values, saturating the same way:
+/// kSaturatedBinomial when either term is saturated or the sum exceeds
+/// kBinomialSaturationLimit. With it, Pascal's rule
+/// C(n, r) = C(n-1, r-1) + C(n-1, r) builds SaturatingBinomial row by row.
+constexpr std::uint64_t SaturatingBinomialSum(std::uint64_t a,
+                                              std::uint64_t b) {
+  // Unsaturated terms are below 2^63, so the sum cannot wrap.
+  if (a > kBinomialSaturationLimit || b > kBinomialSaturationLimit) {
+    return kSaturatedBinomial;
+  }
+  return a + b > kBinomialSaturationLimit ? kSaturatedBinomial : a + b;
+}
 
 /// Kullback–Leibler divergence D(p || q) between Bernoulli(p) and
 /// Bernoulli(q), in nats. Handles the p in {0,1} boundary cases; returns

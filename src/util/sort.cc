@@ -12,6 +12,14 @@ namespace {
 /// clear, transform + write-back passes) beat its O(n) advantage;
 /// std::sort over OrderedLess wins. Tuned with bench/sort_kernels.cc.
 constexpr std::size_t kRadixCutoff = 256;
+/// The same crossover for SortPairs, which is much later: the pair radix
+/// path moves a payload array through every pass and splits/rejoins the
+/// records, while std::stable_sort moves 16-byte records in cache. On a
+/// 4-vCPU x86-64 host with AVX2 (bench/sort_kernels.cc, uniform keys)
+/// stable_sort wins by ~1.7x at 257 pairs and ~1.2x at 1024, the two break
+/// even near 2048, and radix wins from 3072 up (2.6x at 4097). Both paths
+/// are stable, so the cutoff never changes the output.
+constexpr std::size_t kPairsRadixCutoff = 2048;
 constexpr int kRadixPasses = 8;
 
 /// How far ahead the counting scatter prefetches its destination. The
@@ -109,7 +117,7 @@ void SortValuesDescending(Value* data, std::size_t n) {
 }
 
 void SortPairs(KeyedPayload* data, std::size_t n, SortScratch* scratch) {
-  if (n < kRadixCutoff) {
+  if (n < kPairsRadixCutoff) {
     std::stable_sort(data, data + n,
                      [](const KeyedPayload& a, const KeyedPayload& b) {
                        return OrderedLess(a.first, b.first);

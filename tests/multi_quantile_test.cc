@@ -69,57 +69,5 @@ TEST(MultiQuantileTest, AllSplittersAccurateSimultaneously) {
   }
 }
 
-// ------------------------------------------------------------ Precomputed
-
-TEST(PrecomputedQuantilesTest, GridCoversUnitInterval) {
-  PrecomputedQuantiles::Options options;
-  options.eps = 0.1;
-  PrecomputedQuantiles sketch =
-      std::move(PrecomputedQuantiles::Create(options)).value();
-  const std::vector<double>& grid = sketch.grid();
-  ASSERT_FALSE(grid.empty());
-  EXPECT_NEAR(grid.front(), 0.05, 1e-12);
-  // Spacing eps, so any phi is within eps/2 of a grid point.
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    EXPECT_NEAR(grid[i] - grid[i - 1], 0.1, 1e-9);
-  }
-  EXPECT_GT(grid.back(), 1.0 - 0.1);
-}
-
-TEST(PrecomputedQuantilesTest, AnswersArbitraryPhiWithinEps) {
-  StreamSpec spec;
-  spec.n = 30000;
-  spec.seed = 7;
-  Dataset ds = GenerateStream(spec);
-  PrecomputedQuantiles::Options options;
-  options.eps = 0.05;
-  options.delta = 1e-3;
-  options.seed = 9;
-  PrecomputedQuantiles sketch =
-      std::move(PrecomputedQuantiles::Create(options)).value();
-  for (Value v : ds.values()) sketch.Add(v);
-  // Query phis that are NOT grid points.
-  for (double phi : {0.013, 0.21, 0.333, 0.5, 0.666, 0.87, 0.999}) {
-    Value est = sketch.Query(phi).value();
-    EXPECT_LE(ds.QuantileError(est, phi), options.eps) << "phi " << phi;
-  }
-}
-
-TEST(PrecomputedQuantilesTest, RejectsBadPhi) {
-  PrecomputedQuantiles::Options options;
-  options.eps = 0.1;
-  PrecomputedQuantiles sketch =
-      std::move(PrecomputedQuantiles::Create(options)).value();
-  sketch.Add(1.0);
-  EXPECT_EQ(sketch.Query(0.0).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(sketch.Query(1.1).status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PrecomputedQuantilesTest, RejectsBadEps) {
-  PrecomputedQuantiles::Options options;
-  options.eps = 0.0;
-  EXPECT_FALSE(PrecomputedQuantiles::Create(options).ok());
-}
-
 }  // namespace
 }  // namespace mrl

@@ -208,6 +208,7 @@ TEST(SortPairsTest, MatchesStableNaiveBitForBit) {
   SortScratch scratch;
   for (std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{255},
                         std::size_t{256}, std::size_t{257}, std::size_t{1024},
+                        std::size_t{2047}, std::size_t{2048},
                         std::size_t{8192}}) {
     std::vector<KeyedPayload> input(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -230,21 +231,25 @@ TEST(SortPairsTest, MatchesStableNaiveBitForBit) {
 
 TEST(SortPairsTest, StableOnEqualKeysIncludingBothZeros) {
   // All keys compare equal per byte except the zeros; payloads of
-  // bitwise-identical keys must keep input order.
-  std::vector<KeyedPayload> input;
-  for (std::uint64_t i = 0; i < 600; ++i) {
-    input.push_back({(i % 2 == 0) ? 0.0 : -0.0, i});
-  }
-  SortPairs(input.data(), input.size());
-  // Total order puts all -0.0 first, then all +0.0, each group in input
-  // (odd/even payload) order.
-  for (std::size_t i = 0; i < 300; ++i) {
-    EXPECT_TRUE(std::signbit(input[i].first)) << i;
-    EXPECT_EQ(input[i].second, 2 * i + 1) << i;
-  }
-  for (std::size_t i = 300; i < 600; ++i) {
-    EXPECT_FALSE(std::signbit(input[i].first)) << i;
-    EXPECT_EQ(input[i].second, 2 * (i - 300)) << i;
+  // bitwise-identical keys must keep input order. One size on each side
+  // of the pairs radix cutoff.
+  for (std::size_t n : {std::size_t{600}, std::size_t{6000}}) {
+    std::vector<KeyedPayload> input;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      input.push_back({(i % 2 == 0) ? 0.0 : -0.0, i});
+    }
+    SortPairs(input.data(), input.size());
+    // Total order puts all -0.0 first, then all +0.0, each group in input
+    // (odd/even payload) order.
+    const std::size_t half = n / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      EXPECT_TRUE(std::signbit(input[i].first)) << n << " " << i;
+      EXPECT_EQ(input[i].second, 2 * i + 1) << n << " " << i;
+    }
+    for (std::size_t i = half; i < n; ++i) {
+      EXPECT_FALSE(std::signbit(input[i].first)) << n << " " << i;
+      EXPECT_EQ(input[i].second, 2 * (i - half)) << n << " " << i;
+    }
   }
 }
 

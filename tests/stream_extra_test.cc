@@ -160,33 +160,5 @@ TEST(TextStreamTest, DoubleOpenFails) {
   std::remove(path.c_str());
 }
 
-TEST(GeneratedStreamReaderTest, MatchesGenerateStreamForAnyChunking) {
-  Random chunker(61);
-  for (ArrivalOrder order : {ArrivalOrder::kAsDrawn, ArrivalOrder::kSortedAsc,
-                             ArrivalOrder::kShuffled}) {
-    StreamSpec spec;
-    spec.distribution = "gaussian";
-    spec.order = order;
-    spec.n = 5000;
-    spec.seed = 12;
-    const std::vector<Value> expected = GenerateStream(spec).values();
-
-    GeneratedStreamReader reader(spec);
-    EXPECT_EQ(reader.size(), spec.n);
-    std::vector<Value> got;
-    std::vector<Value> chunk(257);
-    while (true) {
-      std::size_t want =
-          1 + static_cast<std::size_t>(chunker.UniformUint64(chunk.size()));
-      std::size_t n = reader.ReadBatch(chunk.data(), want);
-      if (n == 0) break;
-      got.insert(got.end(), chunk.begin(), chunk.begin() + n);
-      EXPECT_EQ(reader.position(), got.size());
-    }
-    EXPECT_EQ(got, expected);
-    EXPECT_EQ(reader.ReadBatch(chunk.data(), chunk.size()), 0u);
-  }
-}
-
 }  // namespace
 }  // namespace mrl

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -97,16 +98,6 @@ TEST(MathTest, BinomialSmallValues) {
   EXPECT_EQ(SaturatingBinomial(3, 7), 0u);  // r > n
 }
 
-TEST(MathTest, BinomialPascalIdentity) {
-  for (std::uint64_t n = 2; n < 40; ++n) {
-    for (std::uint64_t r = 1; r < n; ++r) {
-      EXPECT_EQ(SaturatingBinomial(n, r),
-                SaturatingBinomial(n - 1, r - 1) + SaturatingBinomial(n - 1, r))
-          << "n=" << n << " r=" << r;
-    }
-  }
-}
-
 TEST(MathTest, BinomialSaturates) {
   EXPECT_EQ(SaturatingBinomial(500, 250),
             std::numeric_limits<std::uint64_t>::max());
@@ -114,9 +105,54 @@ TEST(MathTest, BinomialSaturates) {
   EXPECT_EQ(SaturatingBinomial(64, 32), 1832624140942590534ull);
 }
 
-TEST(MathTest, LogBinomialMatchesExact) {
-  EXPECT_NEAR(LogBinomial(10, 3), std::log(120.0), 1e-9);
-  EXPECT_NEAR(LogBinomial(40, 20), std::log(137846528820.0), 1e-6);
+TEST(MathTest, BinomialMatchesSaturatingPascalTriangle) {
+  // Row n of Pascal's triangle, built by addition and saturated the way
+  // the contract says: a sum is saturated when either term is, or when it
+  // exceeds kBinomialSaturationLimit.
+  constexpr std::uint64_t kSat = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> row = {1};
+  for (std::uint64_t n = 0; n <= 400; ++n) {
+    for (std::uint64_t r = 0; r <= n; ++r) {
+      ASSERT_EQ(SaturatingBinomial(n, r), row[r]) << "n=" << n << " r=" << r;
+    }
+    EXPECT_EQ(SaturatingBinomial(n, n + 1), 0u);
+    std::vector<std::uint64_t> next(n + 2, 1);
+    for (std::uint64_t r = 1; r <= n; ++r) {
+      const std::uint64_t a = row[r - 1];
+      const std::uint64_t b = row[r];
+      next[r] = (a == kSat || b == kSat || a + b > kBinomialSaturationLimit)
+                    ? kSat
+                    : a + b;
+      EXPECT_EQ(SaturatingBinomialSum(a, b), next[r]);
+    }
+    row = std::move(next);
+  }
+}
+
+TEST(MathTest, BinomialSaturationThreshold) {
+  constexpr std::uint64_t kSat = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(kBinomialSaturationLimit, 8614685180288970752ull);  // e^43.6
+  // The largest central coefficient below the limit, and the next one.
+  EXPECT_EQ(SaturatingBinomial(66, 33), 7219428434016265740ull);
+  EXPECT_EQ(SaturatingBinomial(67, 33), kSat);  // 1.42e19
+  // The closest coefficient to the limit with n <= 400, on both sides.
+  EXPECT_EQ(SaturatingBinomial(358, 10), 8394363656480261460ull);
+  EXPECT_EQ(SaturatingBinomial(359, 10), kSat);  // 8.63e18
+  // Large n, small r: 2.4e-10 below and 3.6e-10 above the limit
+  // (relative), too close for a floating-point log to tell apart.
+  EXPECT_EQ(SaturatingBinomial(4150827672ull, 2), 8614685179245055956ull);
+  EXPECT_EQ(SaturatingBinomial(4150827673ull, 2), kSat);
+  EXPECT_EQ(SaturatingBinomial(kBinomialSaturationLimit, 1),
+            kBinomialSaturationLimit);
+  EXPECT_EQ(SaturatingBinomial(kBinomialSaturationLimit + 1, 1), kSat);
+  // Huge n saturates instead of wrapping.
+  EXPECT_EQ(SaturatingBinomial(std::uint64_t{1} << 62, 2), kSat);
+  EXPECT_EQ(SaturatingBinomial(kSat, 3), kSat);
+  EXPECT_EQ(SaturatingBinomial(kSat, kSat), 1u);
+  EXPECT_EQ(SaturatingBinomialSum(kBinomialSaturationLimit, 0),
+            kBinomialSaturationLimit);
+  EXPECT_EQ(SaturatingBinomialSum(kBinomialSaturationLimit, 1), kSat);
+  EXPECT_EQ(SaturatingBinomialSum(kSat, 0), kSat);
 }
 
 TEST(MathTest, KlBernoulliBasics) {
